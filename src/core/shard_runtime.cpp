@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <limits>
 
 namespace nfv::core {
 
@@ -87,11 +89,11 @@ std::uint64_t ShardRuntime::dispatched_events() const {
 
 void ShardRuntime::post(std::uint32_t src, std::uint32_t dst,
                         const mgr::ShardMsg& msg) {
-  assert(!boxes_.empty() && "posting before the first run");
-  Mailbox& box = *boxes_[src * lanes_.size() + dst];
-  // Once anything spilled, keep spilling: the drain empties the ring first,
-  // so mixing the two after a spill would reorder the FIFO.
-  if (!box.spill.empty() || !box.ring.try_push(msg)) box.spill.push_back(msg);
+  assert(!boxes_[0].empty() && "posting before the first run");
+  auto& msgs = boxes_[parity_][src * lanes_.size() + dst].msgs;
+  assert((msgs.empty() || msgs.back().when <= msg.when) &&
+         "a lane posts in time order");
+  msgs.push_back(msg);
 }
 
 void ShardRuntime::run_until(Cycles target) {
@@ -103,45 +105,68 @@ void ShardRuntime::run_until(Cycles target) {
     const std::size_t n = lanes_.size();
     exec_ = std::make_unique<sim::ShardExecutor>(
         n, std::min<std::size_t>(shards_, n));
-    boxes_.resize(n * n);
-    for (auto& box : boxes_) box = std::make_unique<Mailbox>();
+    for (auto& boxes : boxes_) boxes.resize(n * n);
   }
+  if (now_ >= target) return;
   while (now_ < target) {
     const Cycles horizon = std::min<Cycles>(now_ + latency_, target);
-    exec_->run_phase(
-        [&](std::size_t i) { lanes_[i]->ev.run_epoch(horizon); });
-    exec_->run_phase([this](std::size_t i) { drain_lane(i); });
+    exec_->run_phase([this, horizon](std::size_t i) {
+      drain_lane(i);
+      lanes_[i]->ev.run_epoch(horizon);
+    });
+    parity_ ^= 1;
     now_ = horizon;
   }
+  exec_->run_phase([this](std::size_t i) { drain_lane(i); });
 }
 
 void ShardRuntime::drain_lane(std::size_t dst) {
   Lane& lane = *lanes_[dst];
+  auto& inbox = lane.inbox;
+  // Drop what has been applied: normally everything, but an epoch cut
+  // short by a run_until target leaves later deliveries pending.
+  inbox.erase(inbox.begin(),
+              inbox.begin() + static_cast<std::ptrdiff_t>(lane.inbox_next));
+  lane.inbox_next = 0;
+  // The previous epoch's mailboxes; nobody posts into them this epoch.
+  std::vector<Mailbox>& boxes = boxes_[parity_ ^ 1];
   const std::size_t n = lanes_.size();
-  for (std::size_t src = 0; src < n; ++src) {
-    if (src == dst) continue;
-    Mailbox& box = *boxes_[src * n + dst];
-    mgr::ShardMsg msg;
-    while (box.ring.try_pop(msg)) deliver(lane, msg);
-    if (!box.spill.empty()) {
-      for (const mgr::ShardMsg& spilled : box.spill) deliver(lane, spilled);
-      box.spill.clear();
+  // Merge the time-sorted source mailboxes one delivery time at a time:
+  // within a time, sources in ascending lane order, each in FIFO order —
+  // exactly the order per-message events with consecutive sequence numbers
+  // would dispatch in. The group's event applies them back to back, and
+  // anything a delivery schedules gets a later sequence number, so it runs
+  // after the whole group.
+  for (;;) {
+    Cycles when = std::numeric_limits<Cycles>::max();
+    for (std::size_t src = 0; src < n; ++src) {
+      const Mailbox& box = boxes[src * n + dst];
+      if (box.head < box.msgs.size()) {
+        when = std::min(when, box.msgs[box.head].when);
+      }
     }
+    if (when == std::numeric_limits<Cycles>::max()) break;
+    assert((inbox.empty() || inbox.back().when < when) &&
+           "each drain's deliveries follow the previous drain's");
+    const std::size_t first = inbox.size();
+    for (std::size_t src = 0; src < n; ++src) {
+      Mailbox& box = boxes[src * n + dst];
+      while (box.head < box.msgs.size() && box.msgs[box.head].when == when) {
+        inbox.push_back(box.msgs[box.head++]);
+      }
+    }
+    const std::size_t count = inbox.size() - first;
+    lane.ev.engine().schedule_at(when, [&lane, count] {
+      for (std::size_t k = 0; k < count; ++k) {
+        lane.manager->apply_shard_msg(lane.inbox[lane.inbox_next++]);
+      }
+    });
   }
-}
-
-void ShardRuntime::deliver(Lane& lane, const mgr::ShardMsg& msg) {
-  // Park the message in the lane's pending list and schedule its delivery
-  // as an ordinary engine event; the {manager, list, iterator} capture fits
-  // SmallCallback's inline storage, so the hot path does not allocate.
-  auto& pending = lane.pending;
-  const auto it = pending.insert(pending.end(), msg);
-  mgr::Manager* manager = lane.manager.get();
-  auto* list = &pending;
-  lane.ev.engine().schedule_at(it->when, [manager, list, it] {
-    manager->apply_shard_msg(*it);
-    list->erase(it);
-  });
+  for (std::size_t src = 0; src < n; ++src) {
+    Mailbox& box = boxes[src * n + dst];
+    box.msgs.clear();
+    box.head = 0;
+  }
 }
 
 }  // namespace nfv::core

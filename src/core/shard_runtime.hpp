@@ -7,19 +7,21 @@
 // and advances all lanes in lock-step epochs of length cross_lane_latency.
 // Within an epoch lanes run concurrently on worker threads and share
 // nothing; the only communication is ShardMsg traffic through per-(src,dst)
-// SPSC mailboxes, and because every message is stamped send_time + latency,
-// nothing posted during an epoch can be due before the epoch ends. At the
-// epoch barrier each destination lane drains its mailboxes in fixed
-// source-lane order and schedules the messages as ordinary engine events —
-// so the *decomposition* (one lane per core) is fixed by the topology and
-// the worker count only decides how many lanes run at once. That is the
+// mailboxes, and because every message is stamped send_time + latency,
+// nothing posted during an epoch can be due before the epoch ends. The
+// mailboxes are double-buffered by epoch parity: lanes post epoch k's
+// messages into parity k, and each lane drains parity k at the start of its
+// epoch k+1 run phase, merging its sources into (when, source lane, FIFO)
+// order and scheduling one engine event per distinct delivery time. So the
+// *decomposition* (one lane per core) is fixed by the topology and the
+// worker count only decides how many lanes run at once. That is the
 // determinism argument in one line: lane event sequences are independent of
 // NFV_SIM_SHARDS by construction, hence reports, traces and counters are
 // byte-identical at any worker count.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -33,7 +35,6 @@
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "pktio/mempool.hpp"
-#include "pktio/ring.hpp"
 #include "sim/event_lane.hpp"
 #include "sim/shard_barrier.hpp"
 
@@ -60,10 +61,13 @@ struct Lane {
   std::size_t trace_consumed = 0;  ///< Events already merged out.
   std::unique_ptr<io::BlockDevice> disk;  ///< Lazy, like Simulation::disk().
   std::unique_ptr<fault::FaultInjector> injector;
-  /// In-flight cross-lane messages: drained from the mailboxes into this
-  /// list, erased when their delivery event fires. A std::list so delivery
-  /// events can hold stable iterators.
-  std::list<mgr::ShardMsg> pending;
+  /// Cross-lane messages drained from the mailboxes but not yet applied,
+  /// in delivery order; inbox[inbox_next] is the next one due. Each drain
+  /// appends one (when, source lane, FIFO)-ordered batch whose times all
+  /// exceed the previous batch's, so the delivery events, which fire in
+  /// time order, consume the inbox front to back.
+  std::vector<mgr::ShardMsg> inbox;
+  std::size_t inbox_next = 0;
 };
 
 /// Owns the lanes, the mailbox matrix and the worker pool, and implements
@@ -109,25 +113,30 @@ class ShardRuntime final : public mgr::ShardLink {
     return static_cast<std::uint32_t>(lanes_.size());
   }
 
-  /// Advance every lane to `target` in lookahead epochs. Two barriers per
-  /// epoch: all lanes run, then all lanes drain — a message posted while
-  /// lane A runs epoch k must not be converted into an engine event while
-  /// lane B is still *running* epoch k, or B's event sequence numbers (and
-  /// with them same-timestamp tie-breaks) would depend on worker timing.
+  /// Advance every lane to `target` in lookahead epochs, one barrier per
+  /// epoch: each lane drains the messages posted to it during the previous
+  /// epoch, then runs this one. The drain reads only the other parity's
+  /// mailboxes, which nobody writes during this epoch, so a lane's engine
+  /// sequence numbers (and with them same-timestamp tie-breaks) never
+  /// depend on worker timing. A final drain phase leaves every mailbox
+  /// empty between calls.
   void run_until(Cycles target);
 
  private:
-  /// Per-(src,dst) mailbox: a fixed SPSC ring with an unbounded spill list
-  /// behind it, so posting never blocks and never drops. The spill vector
-  /// is written by the source worker and cleared by the destination worker
-  /// in different phases; the barrier between them is the synchronisation.
-  struct Mailbox {
-    pktio::SpscRing<mgr::ShardMsg> ring{256};
-    std::vector<mgr::ShardMsg> spill;
+  /// Per-(src,dst) mailbox for one epoch parity: the source worker appends
+  /// during epoch k, the destination worker drains and clears it during
+  /// epoch k+1; the barrier between the epochs is the synchronisation. A
+  /// lane posts in time order, so `msgs` is sorted by `when`. Cache-line
+  /// aligned so concurrent posters do not share a line.
+  struct alignas(64) Mailbox {
+    std::vector<mgr::ShardMsg> msgs;
+    std::size_t head = 0;  ///< Drain cursor.
   };
 
+  /// Move lane `dst`'s messages from the previous epoch's mailboxes (parity
+  /// `parity_ ^ 1`) into its inbox and schedule one delivery event per
+  /// distinct delivery time.
   void drain_lane(std::size_t dst);
-  void deliver(Lane& lane, const mgr::ShardMsg& msg);
 
   std::uint32_t shards_;
   Cycles latency_;
@@ -142,7 +151,9 @@ class ShardRuntime final : public mgr::ShardLink {
 
   Cycles now_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<Mailbox>> boxes_;  ///< [src * n + dst].
+  /// [parity][src * n + dst]; lanes post into parity_ during a run phase.
+  std::array<std::vector<Mailbox>, 2> boxes_;
+  unsigned parity_ = 0;
   // Declared last: its destructor joins the workers before anything the
   // phase callbacks touch is torn down.
   std::unique_ptr<sim::ShardExecutor> exec_;

@@ -5,17 +5,19 @@
 // accounting) stays lane-local, and only the traffic that would cross a
 // core boundary on a real host crosses a lane boundary here. This header
 // defines that traffic: a small tagged-union message plus the posting
-// interface the lane runtime implements over per-(src,dst) SPSC rings.
+// interface the lane runtime implements over per-(src,dst) mailboxes.
 //
 // Every message carries its delivery time, stamped send_time +
-// cross_lane_latency by the sender. The lane runtime drains mailboxes at
-// epoch barriers and schedules each message as an ordinary engine event at
-// msg.when on the destination lane; because the epoch length never exceeds
-// the latency, msg.when is always at or beyond the next epoch's start and a
-// drain can never schedule into a lane's past. Determinism: mailboxes are
-// drained in fixed source-lane order and each mailbox preserves FIFO, so
-// the destination engine's sequence numbers — and with them all
-// same-timestamp tie-breaks — are reproducible at any worker count.
+// cross_lane_latency by the sender. The destination lane drains the
+// messages posted during epoch k at the start of epoch k+1 and schedules
+// one ordinary engine event per distinct msg.when, which applies that
+// time's messages in (source lane, FIFO) order; because the epoch length
+// never exceeds the latency, msg.when is always at or beyond the drain's
+// epoch start and a drain can never schedule into a lane's past.
+// Determinism: sources merge in fixed lane order and each mailbox
+// preserves FIFO, so the destination engine's sequence numbers — and with
+// them all same-timestamp tie-breaks — are reproducible at any worker
+// count.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +90,8 @@ class ShardLink {
   virtual ~ShardLink() = default;
 
   /// Post `msg` from lane `src` to lane `dst`'s mailbox. Called from the
-  /// source lane's worker thread during its epoch; the destination drains
-  /// it at the next barrier.
+  /// source lane's worker thread during its epoch, in time order; the
+  /// destination drains it after the barrier that ends the epoch.
   virtual void post(std::uint32_t src, std::uint32_t dst,
                     const ShardMsg& msg) = 0;
 

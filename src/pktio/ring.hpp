@@ -82,10 +82,9 @@ class Ring {
 /// rte_ring SP/SC fast path). One thread calls try_push, one thread calls
 /// try_pop; the release store on the producer index paired with the acquire
 /// load on the consumer side publishes each slot's contents, so no other
-/// synchronization is needed for the payload itself. Used by the sharded
-/// engine as the only data channel between event lanes — the modelled
-/// ring-transit latency of messages travelling through it is what bounds
-/// each lane's conservative lookahead.
+/// synchronization is needed for the payload itself. Nothing in src/ uses
+/// it: the sharded engine's cross-lane mailboxes are written and drained
+/// in different epochs, so they are plain vectors behind the epoch barrier.
 template <typename T>
 class SpscRing {
  public:

@@ -12,8 +12,8 @@
 // Epoch convention: the conservative-lookahead loop advances lanes in
 // epochs [start, horizon). Engine::run_until is *inclusive* of its
 // deadline, so run_epoch(horizon) runs the engine to horizon - 1: events
-// stamped exactly at the horizon belong to the next epoch, after the
-// cross-lane mailboxes for this epoch have been drained. Mailbox drains
+// stamped exactly at the horizon belong to the next epoch, whose run phase
+// first drains the cross-lane messages posted during this one. Drains
 // schedule deliveries at send_time + cross_lane_latency, which the epoch
 // length guarantees is >= horizon > horizon - 1 = engine.now(), so a drain
 // never schedules into a lane's past.

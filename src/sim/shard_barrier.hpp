@@ -1,20 +1,22 @@
 // Phase executor for the sharded simulation engine.
 //
-// A sharded Simulation advances in conservative-lookahead epochs: every lane
-// runs its own event heap up to the epoch horizon, a barrier, then every lane
-// drains the cross-lane mailboxes that other lanes filled during the epoch,
-// another barrier. ShardExecutor owns the worker threads (they persist across
-// epochs — a barrier costs a fence, not a thread spawn) and runs one such
-// phase at a time: run_phase(fn) invokes fn(lane) for every lane, statically
-// assigning lane i to worker i % workers, and returns only when all workers
-// have finished — that return IS the barrier.
+// A sharded Simulation advances in conservative-lookahead epochs, one phase
+// per epoch: every lane drains the cross-lane mailboxes other lanes filled
+// during the previous epoch, then runs its own event heap up to the epoch
+// horizon; then a barrier. ShardExecutor owns the worker threads (they
+// persist across epochs — a barrier costs a fence, not a thread spawn) and
+// runs one such phase at a time: run_phase(fn) invokes fn(lane) for every
+// lane, statically assigning lane i to worker i % workers, and returns only
+// when all workers have finished — that return IS the barrier.
 //
-// Determinism: lanes never share mutable state inside a phase (the mailboxes
-// are per-(src,dst) SPSC rings), so the result of a phase is independent of
-// how lanes interleave across workers. The generation/done counters use
-// release/acquire RMW chains, which give every worker's phase-N writes a
-// happens-before edge into every other worker's phase-N+1 reads — this is
-// what makes the spill vectors and engine heaps race-free under TSan.
+// Determinism: lanes never share mutable state inside a phase (mailboxes
+// are per-(src,dst) and double-buffered by epoch parity, so a lane drains
+// only what was written before the barrier), so the result of a phase is
+// independent of how lanes interleave across workers. The generation/done
+// counters use release/acquire RMW chains, which give every worker's
+// phase-N writes a happens-before edge into every other worker's phase-N+1
+// reads — this is what makes the mailboxes and engine heaps race-free under
+// TSan.
 #pragma once
 
 #include <atomic>

@@ -283,6 +283,24 @@ TEST_P(EngineBackendTest, DeterministicUnderChurn) {
   EXPECT_FALSE(a.empty());
 }
 
+TEST_P(EngineBackendTest, PopsThroughEveryPartialChildGroup) {
+  // A heap pop whose sift-down reaches a last child group that is only
+  // partly filled (grandchild < size <= grandchild + 3) must stay inside
+  // the heap; under -D_GLIBCXX_ASSERTIONS an out-of-range index aborts.
+  // Ascending insertion keeps the array sorted, so every pop descends
+  // through child 1 and its children at 5..8 for each size in turn.
+  for (int size = 1; size <= 40; ++size) {
+    Engine e{GetParam()};
+    std::vector<Cycles> times;
+    for (int i = 0; i < size; ++i) {
+      e.schedule_at(i + 1, [&times, &e] { times.push_back(e.now()); });
+    }
+    e.run();
+    ASSERT_EQ(times.size(), static_cast<std::size_t>(size));
+    for (int i = 0; i < size; ++i) ASSERT_EQ(times[i], i + 1) << size;
+  }
+}
+
 TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
   // Many events at random times must still execute in nondecreasing order.
   Engine e{GetParam()};
