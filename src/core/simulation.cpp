@@ -566,10 +566,11 @@ void Simulation::start_sharded() {
     if (lifecycle_requested_) lane.manager->enable_lifecycle();
     lane.manager->start();
     if (lane.flows.expiry_enabled()) {
-      flow::FlowTable* flows = &lane.flows;
+      // The home lane owns both the flow entry and its per-flow counters.
+      mgr::Manager* manager = lane.manager.get();
       sim::Engine* engine = &lane.ev.engine();
-      engine->schedule_periodic(flows->scan_period(), [flows, engine] {
-        flows->expire(engine->now());
+      engine->schedule_periodic(lane.flows.scan_period(), [manager, engine] {
+        manager->expire_flows(engine->now());
       });
     }
     fault::FaultPlan plan = lane_fault_plan(l);
@@ -610,8 +611,9 @@ void Simulation::ensure_started() {
   // when a timeout is configured, so default simulations dispatch exactly
   // the seed event sequence.
   if (flows_.expiry_enabled()) {
-    engine_.schedule_periodic(flows_.scan_period(),
-                              [this] { flows_.expire(engine_.now()); });
+    engine_.schedule_periodic(flows_.scan_period(), [this] {
+      manager_->expire_flows(engine_.now());
+    });
   }
   // Storage fault domain (DESIGN.md §12): activate its observability only
   // when it is actually in use — device faults in the plan, or an engine

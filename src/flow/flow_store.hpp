@@ -121,6 +121,10 @@ class FlowStore {
     return idx != nullptr ? *idx : kNoIndex;
   }
 
+  /// Start the cache miss on `key`'s home slot ahead of an install(),
+  /// lookup() or peek() (FlowMap::prefetch). No state changes.
+  void prefetch(const Key& key) const { map_.prefetch(key); }
+
   /// Remove a flow by key; false when absent.
   bool erase(const Key& key) {
     std::uint32_t* idx = map_.find(key);

@@ -55,11 +55,4 @@ const FlowEntry* FlowTable::lookup(const pktio::FlowKey& key, Cycles now) {
   return &store_.state(idx);
 }
 
-std::size_t FlowTable::expire(Cycles now) {
-  return store_.expire(now, [this](std::uint32_t, const pktio::FlowKey&,
-                                   FlowEntry& entry) {
-    if (expiry_listener_) expiry_listener_(entry);
-  });
-}
-
 }  // namespace nfv::flow

@@ -62,10 +62,23 @@ class FlowTable {
   /// so active flows stay ahead of the expiry sweep.
   [[nodiscard]] const FlowEntry* lookup(const pktio::FlowKey& key, Cycles now);
 
+  /// Hint the cache about `key`'s home slot ahead of a lookup or install.
+  void prefetch(const pktio::FlowKey& key) const { store_.prefetch(key); }
+
   /// Reclaim flows idle past the timeout as of `now`; returns the number
-  /// expired. The expiry listener (if any) sees each entry before its id
-  /// is freed. No-op when idle_timeout is 0.
-  std::size_t expire(Cycles now);
+  /// expired. The expiry listener (if any) and then `on_expired` see each
+  /// entry before its id is freed. No-op when idle_timeout is 0.
+  template <typename Fn>
+  std::size_t expire(Cycles now, Fn&& on_expired) {
+    return store_.expire(now, [&](std::uint32_t, const pktio::FlowKey&,
+                                  FlowEntry& entry) {
+      if (expiry_listener_) expiry_listener_(entry);
+      on_expired(entry);
+    });
+  }
+  std::size_t expire(Cycles now) {
+    return expire(now, [](const FlowEntry&) {});
+  }
 
   /// Fires once per expired flow, before the id returns to the pool.
   void set_expiry_listener(ExpiryListener listener) {

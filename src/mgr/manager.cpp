@@ -533,6 +533,12 @@ void Manager::drain_tx(flow::NfId nf_id) {
       std::min<std::size_t>(config_.tx_burst, std::size(burst));
   const bool was_full = rec.task->tx_ring().full();
   const std::size_t n = rec.task->tx_ring().dequeue_burst(burst, max_burst);
+  // Start the per-flow counter misses egress() will take, a burst ahead.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (burst[i]->flow_id < flow_counters_.size()) {
+      __builtin_prefetch(&flow_counters_[burst[i]->flow_id]);
+    }
+  }
   for (std::size_t i = 0; i < n; ++i) {
     pktio::Mbuf* pkt = burst[i];
     const auto& hops = chains_.get(pkt->chain_id).hops;
@@ -606,6 +612,14 @@ void Manager::drop(pktio::Mbuf* pkt) { pool_.free(pkt); }
 void Manager::set_egress_sink(flow::FlowId flow, EgressSink sink) {
   if (flow >= egress_sinks_.size()) egress_sinks_.resize(flow + 1);
   egress_sinks_[flow] = std::move(sink);
+}
+
+std::size_t Manager::expire_flows(Cycles now) {
+  return flows_.expire(now, [this](const flow::FlowEntry& entry) {
+    const flow::FlowId id = entry.flow_id;
+    if (id < flow_counters_.size()) flow_counters_[id] = FlowCounters{};
+    if (id < egress_sinks_.size()) egress_sinks_[id] = nullptr;
+  });
 }
 
 const ChainCounters& Manager::chain_counters(flow::ChainId id) const {

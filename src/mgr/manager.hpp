@@ -311,6 +311,12 @@ class Manager : public fault::FaultSink {
   /// ECN marks). The packet is freed after the sink returns.
   void set_egress_sink(flow::FlowId flow, EgressSink sink);
 
+  /// Idle-expiry sweep of the flow table as of `now`. An expired flow's
+  /// dense id may be handed to a new flow, so its per-flow counters are
+  /// zeroed and its egress sink dropped here: nothing of the old flow
+  /// carries over to the id's next owner. Returns the number expired.
+  std::size_t expire_flows(Cycles now);
+
   // -- accessors ------------------------------------------------------------
   [[nodiscard]] nf::NfTask& nf(flow::NfId id) { return *records_[id].task; }
   [[nodiscard]] const NfManagerCounters& nf_counters(flow::NfId id) const {

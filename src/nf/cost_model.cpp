@@ -22,10 +22,12 @@ CostModel CostModel::per_class(std::vector<Cycles> class_costs) {
 }
 
 CostModel CostModel::state_dependent(
-    std::function<Cycles(pktio::Mbuf&)> probe, Cycles nominal_cost) {
+    std::function<Cycles(pktio::Mbuf&)> probe, Cycles nominal_cost,
+    std::function<void(const pktio::Mbuf&)> prefetch) {
   assert(probe);
   CostModel model(Kind::kStateDependent, {nominal_cost}, 0);
   model.probe_ = std::move(probe);
+  model.prefetch_ = std::move(prefetch);
   return model;
 }
 

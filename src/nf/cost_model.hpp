@@ -41,8 +41,20 @@ class CostModel {
   /// the state it leaves behind) is identical at any burst window. The
   /// probe may stash a result for the handler in mbuf.nf_scratch.
   /// `nominal_cost` seeds capacity math before any samples exist.
+  /// `prefetch`, when set, starts the cache misses the probe will take on
+  /// a packet; libnf calls it on a whole burst before the burst's first
+  /// probe (see prefetch()).
   static CostModel state_dependent(
-      std::function<Cycles(pktio::Mbuf&)> probe, Cycles nominal_cost);
+      std::function<Cycles(pktio::Mbuf&)> probe, Cycles nominal_cost,
+      std::function<void(const pktio::Mbuf&)> prefetch = {});
+
+  /// True when prefetch() does anything: a state-dependent model built
+  /// with a prefetch callback. Every other model has no state to warm.
+  [[nodiscard]] bool prefetches() const { return static_cast<bool>(prefetch_); }
+  /// Warm the per-flow state sample() will touch for `mbuf`. A cache hint
+  /// only: it must not change any state the probe reads. Requires
+  /// prefetches().
+  void prefetch(const pktio::Mbuf& mbuf) const { prefetch_(mbuf); }
 
   /// Cost of processing this packet now, including the dynamic scale.
   /// Non-const mbuf: a state-dependent probe may write nf_scratch.
@@ -66,6 +78,7 @@ class CostModel {
   Rng rng_;
   double scale_ = 1.0;
   std::function<Cycles(pktio::Mbuf&)> probe_;
+  std::function<void(const pktio::Mbuf&)> prefetch_;
 };
 
 }  // namespace nfv::nf

@@ -226,6 +226,14 @@ void NfTask::start_next_burst(Cycles now) {
       max_k > 1 ? core()->preemption_horizon() : sched::kUnboundedSlack;
   const int local_node = core()->numa_node();
 
+  // A stateful cost model warms each packet's flow state before the first
+  // probe, so the burst's cache misses overlap instead of serializing.
+  if (cost_.prefetches()) {
+    cost_.prefetch(*pkt);
+    const std::size_t ahead = std::min(max_k - 1, rx_ring_.size());
+    for (std::size_t i = 0; i < ahead; ++i) cost_.prefetch(*rx_ring_.peek(i));
+  }
+
   burst_.clear();
   burst_pos_ = 0;
   Cycles cursor = now;

@@ -152,7 +152,8 @@ class Firewall {
               return costs.miss;
           }
         },
-        costs.hit);
+        costs.hit,
+        [this](const pktio::Mbuf& pkt) { cache_.prefetch(pkt.key); });
     task.set_handler([this](pktio::Mbuf& pkt) {
       if (pkt.nf_scratch != 0) {
         ++denied_;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "flow/flow_store.hpp"
@@ -90,8 +92,15 @@ class LoadBalancer {
 
   /// State-dependent install: steering happens in the cost probe at
   /// burst-assembly time (dequeue order — burst-window invariant) and the
-  /// charged cost follows the connection-table path.
+  /// charged cost follows the connection-table path. Only flow-hash mode
+  /// has a connection table to prefetch.
   void install(nf::NfTask& task, PathCosts costs) {
+    std::function<void(const pktio::Mbuf&)> prefetch;
+    if (policy_ == Policy::kFlowHash) {
+      prefetch = [this](const pktio::Mbuf& pkt) {
+        connections_.prefetch(pkt.key);
+      };
+    }
     task.cost_model() = nf::CostModel::state_dependent(
         [this, costs](pktio::Mbuf& pkt) {
           switch (steer_path(pkt)) {
@@ -103,7 +112,7 @@ class LoadBalancer {
               return costs.miss;
           }
         },
-        costs.hit);
+        costs.hit, std::move(prefetch));
     task.set_handler(
         [](pktio::Mbuf&) { return nf::NfAction::kForward; });
   }

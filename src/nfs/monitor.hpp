@@ -77,7 +77,8 @@ class FlowMonitor {
               return costs.miss;
           }
         },
-        costs.hit);
+        costs.hit,
+        [this](const pktio::Mbuf& pkt) { flows_.prefetch(pkt.key); });
     task.set_handler(
         [](pktio::Mbuf&) { return nf::NfAction::kForward; });
   }

@@ -96,7 +96,11 @@ class Nat {
               return costs.miss;
           }
         },
-        costs.hit);
+        costs.hit,
+        [this](const pktio::Mbuf& pkt) {
+          bindings_.prefetch(
+              BindingKey{pkt.key.src_ip, pkt.key.src_port, pkt.key.proto});
+        });
     task.set_handler(
         [](pktio::Mbuf&) { return nf::NfAction::kForward; });
   }

@@ -8,7 +8,6 @@
 // them to HIGH=80% with a margin of 20 points (LOW=60%).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -48,6 +47,13 @@ class Ring {
   /// Dequeue up to `max` descriptors into `out`; returns count.
   std::size_t dequeue_burst(Mbuf** out, std::size_t max);
 
+  /// The `i`-th queued descriptor (0 = next to dequeue), left in place:
+  /// burst assembly looks ahead to prefetch per-flow state.
+  [[nodiscard]] const Mbuf* peek(std::size_t i) const {
+    assert(i < count_);
+    return slots_[(head_ + i) & mask_];
+  }
+
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -76,60 +82,6 @@ class Ring {
   std::size_t count_ = 0;
   std::uint64_t total_enqueued_ = 0;
   std::uint64_t total_dequeued_ = 0;
-};
-
-/// Single-producer/single-consumer ring for cross-shard handoff (the
-/// rte_ring SP/SC fast path). One thread calls try_push, one thread calls
-/// try_pop; the release store on the producer index paired with the acquire
-/// load on the consumer side publishes each slot's contents, so no other
-/// synchronization is needed for the payload itself. Nothing in src/ uses
-/// it: the sharded engine's cross-lane mailboxes are written and drained
-/// in different epochs, so they are plain vectors behind the epoch barrier.
-template <typename T>
-class SpscRing {
- public:
-  /// `capacity` is rounded up to a power of two (minimum 2).
-  explicit SpscRing(std::uint32_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  /// Producer side. Returns false when the ring is full.
-  bool try_push(const T& value) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
-    slots_[tail & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
-
-  /// Racy size estimate; exact when producer and consumer are quiescent.
-  [[nodiscard]] std::size_t size_approx() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
-  }
-
- private:
-  std::uint64_t mask_ = 1;
-  std::vector<T> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next pop position
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next push position
 };
 
 }  // namespace nfv::pktio

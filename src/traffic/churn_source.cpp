@@ -28,6 +28,7 @@ ChurnSource::ChurnSource(sim::Engine& engine, mgr::Manager& manager,
   assert(config_.pareto_min_packets >= 1.0);
   interval_ = std::max<Cycles>(1, clock.from_seconds(1.0 / config_.rate_pps));
   batch_.reserve(std::max<std::uint32_t>(1, config_.burst));
+  draws_.reserve(batch_.capacity());
   active_.resize(config_.concurrent_flows);
 }
 
@@ -37,8 +38,10 @@ ChurnSource::~ChurnSource() {
 
 void ChurnSource::start() {
   next_time_ = std::max(config_.start_time, engine_.now());
-  for (std::uint32_t slot = 0; slot < config_.concurrent_flows; ++slot) {
-    spawn_flow(slot, next_time_);
+  for (ActiveFlow& f : active_) {
+    f.key = flow_key(flows_created_++);
+    f.remaining = draw_flow_length();
+    flows_.install(f.key, config_.chain, next_time_);
   }
   arm();
 }
@@ -52,18 +55,15 @@ std::uint64_t ChurnSource::draw_flow_length() {
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(len));
 }
 
-void ChurnSource::spawn_flow(std::uint32_t slot, Cycles now) {
+pktio::FlowKey ChurnSource::flow_key(std::uint64_t n) const {
   // Enumerate a fresh, never-reused 5-tuple for every flow birth.
-  const std::uint64_t n = flows_created_++;
-  ActiveFlow& f = active_[slot];
-  f.key.src_ip = config_.src_ip_base + static_cast<std::uint32_t>(n / 60000);
-  f.key.src_port = static_cast<std::uint16_t>(1 + n % 60000);
-  f.key.dst_ip = config_.dst_ip;
-  f.key.dst_port = config_.dst_port;
-  f.key.proto = pktio::kProtoUdp;
-  f.remaining = draw_flow_length();
-  f.seq = 0;
-  flows_.install(f.key, config_.chain, now);
+  pktio::FlowKey key;
+  key.src_ip = config_.src_ip_base + static_cast<std::uint32_t>(n / 60000);
+  key.src_port = static_cast<std::uint16_t>(1 + n % 60000);
+  key.dst_ip = config_.dst_ip;
+  key.dst_port = config_.dst_port;
+  key.proto = pktio::kProtoUdp;
+  return key;
 }
 
 Cycles ChurnSource::draw_gap() {
@@ -88,17 +88,41 @@ void ChurnSource::arm() {
 
 void ChurnSource::emit_batch() {
   pending_ = sim::kInvalidEventId;
+  // Draw phase: the slot pick per packet and, on retirement, the
+  // successor's length — the flow-RNG sequence of one-at-a-time emission.
+  // A slot re-picked after retiring in this batch already carries its
+  // successor's key. The flow completes even if the pool later starves
+  // its last packet: flow lifetimes must not depend on pool occupancy.
+  draws_.clear();
+  std::uint64_t born = flows_created_;
   for (const Cycles t : batch_) {
-    if (config_.stop_time >= 0 && t >= config_.stop_time) return;  // halt
-    emit_one(t);
+    if (config_.stop_time >= 0 && t >= config_.stop_time) break;  // halt
+    const auto slot =
+        static_cast<std::uint32_t>(flow_rng_.next_below(active_.size()));
+    ActiveFlow& f = active_[slot];
+    draws_.push_back(Draw{f.key, slot, false});
+    if (--f.remaining == 0) {
+      draws_.back().retires = true;
+      f.key = flow_key(born++);
+      f.remaining = draw_flow_length();
+    }
   }
-  arm();
+  // Every packet's table lookup, and every successor's install, misses to
+  // memory at 100k-flow scale; start those misses now so they overlap
+  // instead of serializing per packet.
+  for (const Draw& d : draws_) flows_.prefetch(d.key);
+  for (std::uint64_t n = flows_created_; n < born; ++n) {
+    flows_.prefetch(flow_key(n));
+  }
+  // Emit phase, in packet order.
+  for (std::size_t i = 0; i < draws_.size(); ++i) {
+    emit_one(batch_[i], draws_[i]);
+  }
+  if (draws_.size() == batch_.size()) arm();
 }
 
-void ChurnSource::emit_one(Cycles arrival) {
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>(flow_rng_.next_below(active_.size()));
-  ActiveFlow& f = active_[slot];
+void ChurnSource::emit_one(Cycles arrival, const Draw& draw) {
+  ActiveFlow& f = active_[draw.slot];
   pktio::Mbuf* pkt = pool_.alloc();
   if (pkt == nullptr) {
     ++alloc_drops_;
@@ -107,13 +131,12 @@ void ChurnSource::emit_one(Cycles arrival) {
     pkt->is_tcp = false;
     pkt->seq = f.seq++;
     ++sent_;
-    manager_.ingress(pkt, f.key, arrival);
+    manager_.ingress(pkt, draw.key, arrival);
   }
-  // The flow completes even when the pool starved its last packet — flow
-  // lifetimes must not depend on pool occupancy.
-  if (--f.remaining == 0) {
+  if (draw.retires) {
     ++flows_retired_;
-    spawn_flow(slot, arrival);
+    f.seq = 0;
+    flows_.install(flow_key(flows_created_++), config_.chain, arrival);
   }
 }
 

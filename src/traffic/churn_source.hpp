@@ -14,6 +14,14 @@
 // so the packet sequence (keys, timestamps, flow birth order) is identical
 // at any burst setting. Installs and touches are stamped with the packet's
 // arrival timestamp, not the delivery time, for the same reason.
+//
+// A batch is emitted in two phases (DESIGN.md §13). The draw phase makes
+// all of the batch's flow-RNG draws and decides each packet's key; the
+// flow table's home slots of those keys and of the successor flows' keys
+// are then prefetched; the emit phase hands the packets to the Manager
+// and installs successor flows, in packet order. Only this source reads
+// its RNG and its slots, so the split moves no FlowTable or Manager call
+// relative to another.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +84,18 @@ class ChurnSource {
     std::uint64_t seq = 0;
   };
 
+  /// One packet of the batch as the draw phase decided it.
+  struct Draw {
+    pktio::FlowKey key;  ///< The packet's flow.
+    std::uint32_t slot;
+    bool retires;  ///< Its flow's last packet: the successor installs next.
+  };
+
   void arm();
   void emit_batch();
-  void emit_one(Cycles arrival);
-  void spawn_flow(std::uint32_t slot, Cycles now);
+  void emit_one(Cycles arrival, const Draw& draw);
+  /// The 5-tuple of the `n`-th flow ever created.
+  [[nodiscard]] pktio::FlowKey flow_key(std::uint64_t n) const;
   [[nodiscard]] Cycles draw_gap();
   [[nodiscard]] std::uint64_t draw_flow_length();
 
@@ -95,6 +111,7 @@ class ChurnSource {
   Rng flow_rng_;
   std::vector<ActiveFlow> active_;
   std::vector<Cycles> batch_;
+  std::vector<Draw> draws_;  ///< Draw phase -> emit phase, one per packet.
   Cycles next_time_ = 0;
   sim::EventId pending_ = sim::kInvalidEventId;
   std::uint64_t sent_ = 0;

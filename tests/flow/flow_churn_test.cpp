@@ -234,5 +234,55 @@ TEST(FlowChurnDeterminism, SourceInstallsFreshTuples) {
   EXPECT_GT(sim.flow_table().expirations(), 0u);
 }
 
+// Idle expiry frees a flow's dense id and churn hands it to a new flow.
+// The id's new owner must start from zero egress/ECN counts, and the old
+// flow's egress sink must not receive the new owner's packets — on the
+// legacy sweep and on the sharded (per-lane) sweep alike.
+class RecycledFlowId : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(RecycledFlowId, NewOwnerStartsCleanAndOldSinkIsDropped) {
+  core::PlatformConfig cfg;
+  cfg.sim_shards = GetParam();
+  cfg.flow_table.idle_timeout = static_cast<Cycles>(0.01 * cfg.cpu_hz);
+  core::Simulation sim(cfg);
+  const auto core_id = sim.add_core(core::SchedPolicy::kCfsBatch);
+  const auto nf_id = sim.add_nf("nf", core_id, nf::CostModel::fixed(100));
+  const auto chain = sim.add_chain("c", {nf_id});
+  // A 1 Mpps flow that stops at 10 ms and is swept after 10 ms idle.
+  const FlowId udp = sim.add_udp_flow(chain, 1e6, {.stop_seconds = 0.01});
+  std::uint64_t sink_packets = 0;
+  sim.manager().set_egress_sink(udp,
+                                [&](const pktio::Mbuf&) { ++sink_packets; });
+  sim.add_churn_workload(chain, 1e6,
+                         {.concurrent_flows = 2'000,
+                          .start_seconds = 0.05,
+                          .seed = 0x1d5});
+
+  sim.run_for_seconds(0.03);  // the UDP flow has stopped and drained
+  const std::uint64_t delivered = sink_packets;
+  EXPECT_GT(delivered, 9'000u);
+  EXPECT_EQ(sim.manager().flow_counters(udp).egress_packets, delivered);
+
+  // The churn flows are installed (and stamped) at their 50 ms start, so
+  // the idle UDP flow reaches the head of the expiry chain, and is swept,
+  // only once they have been touched; its id then goes to a churn flow.
+  sim.run_for_seconds(0.21);
+  EXPECT_EQ(sink_packets, delivered)
+      << "the expired flow's sink saw the id's next owner";
+  const mgr::FlowCounters& now_counted = sim.manager().flow_counters(udp);
+  EXPECT_GT(now_counted.egress_packets, 0u) << "the id was never recycled";
+  EXPECT_LT(now_counted.egress_packets, delivered)
+      << "the id's new owner inherited the expired flow's counts";
+  EXPECT_LT(now_counted.egress_bytes, delivered * 64);
+}
+
+INSTANTIATE_TEST_SUITE_P(LegacyAndSharded, RecycledFlowId,
+                         ::testing::Values(0u, 1u),
+                         [](const auto& param_info) {
+                           return param_info.param == 0
+                                      ? std::string("Legacy")
+                                      : std::string("Sharded");
+                         });
+
 }  // namespace
 }  // namespace nfv::flow

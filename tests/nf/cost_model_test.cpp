@@ -84,5 +84,25 @@ TEST(CostModel, NominalIsMeanOfChoices) {
   EXPECT_EQ(model.nominal(), 200);
 }
 
+// Only a state-dependent model built with a prefetch callback has state
+// to warm; libnf's burst assembly skips every other model with one test.
+TEST(CostModel, OnlyStateDependentModelsWithAHookPrefetch) {
+  const auto probe = [](pktio::Mbuf&) { return Cycles{100}; };
+  EXPECT_FALSE(CostModel::fixed(100).prefetches());
+  EXPECT_FALSE(CostModel::uniform_choice({100, 200}).prefetches());
+  EXPECT_FALSE(CostModel::per_class({100, 200}).prefetches());
+  EXPECT_FALSE(CostModel::state_dependent(probe, 100).prefetches());
+
+  int prefetched = 0;
+  CostModel model = CostModel::state_dependent(
+      probe, 100, [&prefetched](const pktio::Mbuf&) { ++prefetched; });
+  ASSERT_TRUE(model.prefetches());
+  pktio::Mbuf m;
+  EXPECT_EQ(model.sample(m), 100);
+  EXPECT_EQ(prefetched, 0) << "sample() must not prefetch on its own";
+  model.prefetch(m);
+  EXPECT_EQ(prefetched, 1);
+}
+
 }  // namespace
 }  // namespace nfv::nf

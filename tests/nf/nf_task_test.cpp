@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -346,6 +347,54 @@ TEST_F(NfTaskTest, OverloadFlagIsSticky) {
   EXPECT_TRUE(nf.overload_flag());
   nf.set_overload_flag(false);
   EXPECT_FALSE(nf.overload_flag());
+}
+
+// Burst assembly hands the state-dependent model's prefetch hook every
+// packet of a burst, in ring order, before the burst's first probe.
+TEST_F(NfTaskTest, PrefetchHookSeesTheWholeBurstBeforeItsFirstProbe) {
+  std::vector<std::pair<char, std::uint64_t>> log;  // 'P'refetch / 'S'ample
+  NfTask::Config cfg = basic_config();
+  cfg.cost = CostModel::state_dependent(
+      [&log](pktio::Mbuf& m) {
+        log.emplace_back('S', m.seq);
+        return Cycles{100};
+      },
+      100, [&log](const pktio::Mbuf& m) { log.emplace_back('P', m.seq); });
+  NfTask& nf = make_nf(cfg);
+  constexpr std::uint64_t kPackets = 40;  // one full 32-packet burst + 8
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    pktio::Mbuf* m = pool_.alloc();
+    ASSERT_NE(m, nullptr);
+    m->seq = i;
+    ASSERT_NE(nf.rx_ring().enqueue(m), pktio::EnqueueResult::kFull);
+  }
+  core_->wake(&nf);
+  engine_.run_until(1'000'000);
+  ASSERT_EQ(nf.counters().processed, kPackets);
+
+  // The log is a sequence of bursts: a run of prefetches, then a run of
+  // probes. Each burst's prefetches start at its first packet and cover
+  // every packet it probes, in order.
+  std::vector<std::size_t> prefetch_runs;
+  std::uint64_t next = 0;
+  std::size_t pos = 0;
+  while (pos < log.size()) {
+    std::size_t prefetched = 0;
+    for (; pos < log.size() && log[pos].first == 'P'; ++pos, ++prefetched) {
+      EXPECT_EQ(log[pos].second, next + prefetched);
+    }
+    std::size_t probed = 0;
+    for (; pos < log.size() && log[pos].first == 'S'; ++pos, ++probed) {
+      EXPECT_EQ(log[pos].second, next + probed);
+    }
+    ASSERT_GT(probed, 0u);
+    EXPECT_GE(prefetched, probed);
+    prefetch_runs.push_back(prefetched);
+    next += probed;
+  }
+  EXPECT_EQ(next, kPackets);
+  EXPECT_EQ(prefetch_runs, (std::vector<std::size_t>{32, 8}));
+  drain_tx(nf);
 }
 
 }  // namespace
