@@ -41,10 +41,11 @@ std::vector<std::vector<std::string>> run_timeline(const Mode& mode) {
   const double step = seconds(0.25);
   for (int i = 1; i <= 18; ++i) {
     sim.run_for_seconds(step);
-    const auto& tc = sim.manager().flow_counters(tcp_flow);
+    // Per-flow counters live with the chains' shared first hop.
+    const auto& tc = sim.mgr_of(nf1).flow_counters(tcp_flow);
     std::uint64_t udp_bytes = 0;
     for (const auto f : udp_flows) {
-      udp_bytes += sim.manager().flow_counters(f).egress_bytes;
+      udp_bytes += sim.mgr_of(nf1).flow_counters(f).egress_bytes;
     }
     const double tcp_gbps =
         static_cast<double>(tc.egress_bytes - tcp_bytes_prev) * 8 / step / 1e9;

@@ -139,7 +139,7 @@ OverloadResult run_overload(const Arm& arm, bool with_report,
   out.bulk_discards = br.discards;
   out.engagements = gr.engagements + br.engagements;
   for (const auto id : {gate, gold_nf, bulk_nf, hog_nf}) {
-    out.grabs += sim.manager().push_grabs_of(id);
+    out.grabs += sim.mgr_of(id).push_grabs_of(id);
   }
   if (with_report) out.report = sim.report_json();
   return out;

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   std::uint64_t prev_bytes = 0;
   for (int i = 0; i < 20; ++i) {
     sim.run_for_seconds(0.1);
-    const auto& fc = sim.manager().flow_counters(tcp_flow);
+    // Per-flow counters live with the chain's first hop.
+    const auto& fc = sim.mgr_of(nf1).flow_counters(tcp_flow);
     const double mbps =
         static_cast<double>(fc.egress_bytes - prev_bytes) * 8 / 0.1 / 1e6;
     prev_bytes = fc.egress_bytes;

@@ -10,17 +10,16 @@ namespace nfv::core {
 Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
            const flow::FlowTable::Config& flow_cfg,
            std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-           mgr::ShardLink& link, Cycles latency, sim::EngineBackend backend,
+           mgr::ShardLink* link, Cycles latency, sim::EngineBackend backend,
            std::size_t pending_hint)
     : id(lane_id), ev(lane_id, backend), pool(mempool_capacity),
       flows(flow_cfg) {
   ev.engine().reserve(pending_hint);
   manager = std::make_unique<mgr::Manager>(ev.engine(), pool, flows, chains,
                                            mgr_cfg, &obs);
-  manager->set_shard_link(&link, lane_id, latency);
-  // The lane-local twins of the platform probes the legacy constructor
-  // registers (simulation.cpp): same keys, so the merged report sums them
-  // across lanes into the familiar series.
+  if (link != nullptr) manager->set_shard_link(link, lane_id, latency);
+  // Platform probes: the same keys on every lane, so the merged report sums
+  // them across lanes into one series.
   obs.metrics().counter_fn("sim.dispatched_events", {}, [this] {
     return ev.engine().dispatched_events();
   });
@@ -56,24 +55,41 @@ ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
       flow_cfg_(flow_cfg),
       mempool_capacity_(mempool_capacity),
       chains_(chains) {
-  assert(shards_ >= 1 && "sharded mode needs at least one worker");
   assert(latency_ > 0 && "cross-lane latency bounds the lookahead");
+  if (!sharded()) push_lane();
 }
 
 ShardRuntime::~ShardRuntime() = default;
 
 Lane& ShardRuntime::add_lane() {
+  assert(sharded() && "the unsharded runtime has exactly one lane");
   assert(!exec_ && "topology is frozen once the simulation has run");
+  return push_lane();
+}
+
+Lane& ShardRuntime::push_lane() {
   const auto id = static_cast<std::uint32_t>(lanes_.size());
-  lanes_.push_back(std::make_unique<Lane>(id, mgr_cfg_, flow_cfg_,
-                                          mempool_capacity_, chains_, *this,
-                                          latency_, backend_, pending_hint_));
+  lanes_.push_back(std::make_unique<Lane>(
+      id, mgr_cfg_, flow_cfg_, mempool_capacity_, chains_,
+      sharded() ? this : nullptr, latency_, backend_, pending_hint_));
   return *lanes_.back();
 }
 
 void ShardRuntime::set_engine_backend(sim::EngineBackend backend) {
   backend_ = backend;
-  for (auto& lane : lanes_) lane->ev.engine().set_backend(backend);
+  for (auto& lane : lanes_) {
+    lane->ev.engine().set_backend(backend);
+    lane->ev.engine().reserve(pending_hint_);
+  }
+}
+
+void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
+  mgr_cfg_.enable_cgroups = cgroups;
+  mgr_cfg_.enable_backpressure = backpressure;
+  mgr_cfg_.enable_ecn = ecn;
+  for (auto& lane : lanes_) {
+    lane->manager->set_features(cgroups, backpressure, ecn);
+  }
 }
 
 void ShardRuntime::set_pending_hint(std::size_t hint) {
@@ -97,6 +113,12 @@ void ShardRuntime::post(std::uint32_t src, std::uint32_t dst,
 }
 
 void ShardRuntime::run_until(Cycles target) {
+  if (!sharded()) {
+    // No other lane, hence no lookahead bound: one inclusive run, the same
+    // boundary a caller of Engine::run_until gets.
+    lanes_[0]->ev.engine().run_until(target);
+    return;
+  }
   if (lanes_.empty()) {
     now_ = std::max(now_, target);
     return;

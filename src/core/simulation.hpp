@@ -1,8 +1,9 @@
 // Public facade: build an NFVnice deployment and run it.
 //
 // This is the library's quickstart surface. A Simulation owns the event
-// engine, the shared mbuf pool, the simulated cores with their scheduling
-// policies, the NF Manager, and the traffic sources. Typical use:
+// lanes (ShardRuntime: each lane an engine, mbuf pool, flow table and NF
+// Manager), the simulated cores with their scheduling policies, and the
+// traffic sources. Typical use:
 //
 //   nfvnice::Simulation sim;                        // defaults: NFVnice on
 //   auto core = sim.add_core(SchedPolicy::kCfsBatch);
@@ -24,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
 #include "fault/lifecycle.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/service_chain.hpp"
@@ -87,15 +88,16 @@ struct PlatformConfig {
   std::uint32_t source_burst = 8;
 
   // -- sharded engine (DESIGN.md §14) ---------------------------------------
-  /// 0 = the classic single-threaded engine (the byte-exact legacy path).
+  /// 0 = unsharded: one event lane owns every core and interleaves them all
+  /// in one event queue with no cross-core latency, on the calling thread.
   /// N >= 1 = sharded mode: one event lane per core, driven by
   /// min(N, cores) worker threads under a conservative-lookahead barrier.
   /// Sharded results are byte-identical for every N >= 1 (the lane
   /// decomposition is fixed by the topology; N only picks the parallelism)
-  /// but differ from the legacy path, which interleaves all cores in one
-  /// event queue with no cross-core latency. When left at 0, the
-  /// NFV_SIM_SHARDS environment variable (a positive integer) selects
-  /// sharded mode — mirroring NFV_BENCH_WORKERS.
+  /// but differ from unsharded ones, since a packet crossing cores pays
+  /// cross_lane_latency. When left at 0, the NFV_SIM_SHARDS environment
+  /// variable (a positive integer) selects sharded mode — mirroring
+  /// NFV_BENCH_WORKERS.
   std::uint32_t sim_shards = 0;
   /// Modelled cross-lane transit time: a packet handed to an NF on another
   /// core arrives this many cycles later. It also bounds the lanes'
@@ -105,11 +107,11 @@ struct PlatformConfig {
   Cycles cross_lane_latency = 26'000;
 
   // -- event-engine backend (DESIGN.md §15) ---------------------------------
-  /// Ready-queue backend for every engine this simulation owns (the legacy
-  /// engine and, when sharded, each lane's). kHeap is the default; kWheel
-  /// trades the heap's O(log n) schedule/pop for a hierarchical timer
-  /// wheel's O(1) schedule/cancel, which wins at huge pending-timer
-  /// populations (per-flow idle expiry, watchdogs, million-flow sweeps).
+  /// Ready-queue backend for every engine this simulation owns (one per
+  /// lane). kHeap is the default; kWheel trades the heap's O(log n)
+  /// schedule/pop for a hierarchical timer wheel's O(1) schedule/cancel,
+  /// which wins at huge pending-timer populations (per-flow idle expiry,
+  /// watchdogs, million-flow sweeps).
   /// Dispatch order is byte-identical either way — reports and traces do
   /// not change. When left at kHeap, the NFV_ENGINE_BACKEND environment
   /// variable ("heap" or "wheel") applies — mirroring NFV_SIM_SHARDS.
@@ -345,21 +347,32 @@ class Simulation {
   /// CPU utilisation of an NF over the whole run so far (runtime/elapsed).
   [[nodiscard]] double nf_cpu_share(flow::NfId id) const;
 
-  /// The legacy single-engine event queue. Unused (never run) when
-  /// sharded() — schedule on a lane's engine instead.
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const CpuClock& clock() const { return clock_; }
-  /// Legacy accessor; when sharded() returns lane 0's Manager replica.
-  [[nodiscard]] mgr::Manager& manager();
   [[nodiscard]] sched::Core& core(std::size_t index) { return *cores_[index]; }
   [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
   [[nodiscard]] nf::NfTask& nf(flow::NfId id) { return *nfs_[id]; }
   [[nodiscard]] std::size_t nf_count() const { return nfs_.size(); }
-  /// Legacy accessors; when sharded() they return lane 0's replicas.
+  /// The Manager replica that owns (runs) NF `id`; per-NF queries go here.
+  [[nodiscard]] mgr::Manager& mgr_of(flow::NfId id) const;
+
+  /// Single-lane accessors: the event engine, Manager, mbuf pool, block
+  /// device, flow table and metrics/trace context of the simulation's one
+  /// event lane — always the case unsharded, and sharded with one core.
+  /// With several lanes (or none yet) there is no single object to return,
+  /// so they throw std::logic_error in every build type: use mgr_of() and
+  /// the merged reports (chain_metrics, report_json, ...) instead.
+  [[nodiscard]] sim::Engine& engine();
+  [[nodiscard]] mgr::Manager& manager();
   [[nodiscard]] io::BlockDevice& disk();
   [[nodiscard]] pktio::MbufPool& pool();
-  /// True when this simulation runs on the sharded engine (DESIGN.md §14).
-  [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
+  [[nodiscard]] flow::FlowTable& flow_table();
+  [[nodiscard]] const flow::FlowTable& flow_table() const;
+  /// Every component registers its instruments into its lane's context.
+  [[nodiscard]] obs::Observability& observability();
+  [[nodiscard]] const obs::Observability& observability() const;
+
+  /// True when every core runs on its own event lane (DESIGN.md §14).
+  [[nodiscard]] bool sharded() const;
   /// The ready-queue backend every engine of this simulation uses.
   [[nodiscard]] sim::EngineBackend engine_backend() const {
     return config_.engine_backend;
@@ -371,8 +384,9 @@ class Simulation {
   /// Apply a pending-events pre-size hint after construction; forwards to
   /// every engine (see PlatformConfig::pending_events_hint).
   void reserve_pending_events(std::size_t hint);
-  [[nodiscard]] flow::FlowTable& flow_table() { return flows_; }
-  [[nodiscard]] const flow::FlowTable& flow_table() const { return flows_; }
+  /// Flip the Manager control-plane features (the config loader's `mode`)
+  /// in the platform config and on every lane, existing and future.
+  void set_features(bool cgroups, bool backpressure, bool ecn);
   [[nodiscard]] flow::ChainRegistry& chains() { return chains_; }
   [[nodiscard]] PlatformConfig& config() { return config_; }
 
@@ -380,11 +394,6 @@ class Simulation {
   void print_report(std::ostream& out) const;
 
   // -- observability ----------------------------------------------------------
-  /// The platform's metrics registry + trace attachment point. Every
-  /// component registered its instruments here at construction.
-  [[nodiscard]] obs::Observability& observability() { return obs_; }
-  [[nodiscard]] const obs::Observability& observability() const { return obs_; }
-
   /// Start recording control-plane trace events (context switches, wakeups,
   /// backpressure transitions, cpu.shares writes, ECN marks, drops) into
   /// `recorder`. Also names the recorder's lanes after the topology. The
@@ -402,39 +411,34 @@ class Simulation {
 
  private:
   void ensure_started();
-  void start_sharded();
   pktio::FlowKey next_flow_key(std::uint8_t proto);
-  // -- sharded-engine plumbing (DESIGN.md §14; no-ops / trivial in legacy
-  //    mode, where shard_ is null).
   [[nodiscard]] Cycles now_cycles() const;
-  /// The Manager that owns `id`: the lane replica when sharded, else the
-  /// single legacy manager.
-  [[nodiscard]] mgr::Manager& mgr_of(flow::NfId id) const;
-  /// The lane a chain's traffic enters on (its first hop's lane); null in
-  /// legacy mode.
-  [[nodiscard]] Lane* home_lane_ptr(flow::ChainId chain);
+  /// The simulation's one lane; throws std::logic_error unless there is
+  /// exactly one.
+  [[nodiscard]] Lane& only_lane() const;
+  /// The lane NF `id` runs on.
+  [[nodiscard]] std::uint32_t lane_of(flow::NfId id) const;
+  /// The lane a chain's traffic enters on (its first hop's lane).
+  [[nodiscard]] Lane& home_lane(flow::ChainId chain);
+  /// Whole-run chain-completion latency, the lanes' histograms merged.
+  [[nodiscard]] Histogram merged_chain_latency(flow::ChainId chain) const;
   /// The slice of the installed fault plan that belongs to one lane.
   [[nodiscard]] fault::FaultPlan lane_fault_plan(std::size_t lane_id) const;
+  /// Sharded: give a lane a private trace buffer (see attach_trace).
+  void attach_lane_trace(Lane& lane);
   /// Move new per-lane trace events into the user's recorder, ordered by
   /// (timestamp, lane, intra-lane sequence).
   void merge_lane_traces();
 
   PlatformConfig config_;
   CpuClock clock_;
-  sim::Engine engine_;
-  // Owns the lane engines; declared (like engine_) before every component
-  // that runs on them, so workers join and engines die last.
-  std::unique_ptr<ShardRuntime> shard_;
-  std::unique_ptr<pktio::MbufPool> pool_;
-  flow::FlowTable flows_;
+  // Declared before the lanes: every lane's Manager holds a reference.
   flow::ChainRegistry chains_;
-  // Declared before the components that register instruments into it.
-  obs::Observability obs_;
+  // Owns the lanes; declared before every component that runs on them, so
+  // workers join and engines die last.
+  std::unique_ptr<ShardRuntime> shard_;
   std::vector<std::unique_ptr<sched::Core>> cores_;
   std::vector<std::unique_ptr<nf::NfTask>> nfs_;
-  std::unique_ptr<mgr::Manager> manager_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<io::BlockDevice> disk_;
   std::vector<std::unique_ptr<io::AsyncIoEngine>> io_engines_;
   std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources_;
   std::vector<std::unique_ptr<traffic::TcpSource>> tcp_sources_;
@@ -442,12 +446,11 @@ class Simulation {
   std::uint32_t next_ip_ = 1;
   bool started_ = false;
 
-  // -- sharded-engine state (empty / unused in legacy mode) -----------------
-  std::vector<std::uint32_t> nf_lane_;  ///< Core (= lane) index per NF.
+  std::vector<std::uint32_t> nf_core_;  ///< Core index per NF.
   std::vector<std::uint32_t> io_lane_;  ///< Lane index per io engine.
   /// Fault plan held until start, then split into per-lane plans.
   std::unique_ptr<fault::FaultPlan> fault_plan_;
-  bool lifecycle_requested_ = false;
+  /// Sharded only: the recorder the lanes' trace buffers merge into.
   obs::TraceRecorder* user_trace_ = nullptr;
 };
 

@@ -59,6 +59,28 @@ TEST(ConfigLoader, ModeDirectiveTogglesFeatures) {
   EXPECT_TRUE(sim.manager().config().enable_ecn);
 }
 
+// `mode` precedes every `core`, so under sharding it runs before any lane
+// exists; the features must still reach every lane built afterwards.
+TEST(ConfigLoader, ModeDirectiveReachesEveryShardedLane) {
+  core::PlatformConfig cfg;
+  cfg.sim_shards = 2;
+  Simulation sim(cfg);
+  const auto topo = load_string(R"(
+    mode default
+    core batch
+    core batch
+    nf a core=0 cost=100
+    nf b core=1 cost=100
+  )",
+                                sim);
+  for (const char* nf : {"a", "b"}) {
+    const auto& mgr_cfg = sim.mgr_of(topo.nfs.at(nf)).config();
+    EXPECT_FALSE(mgr_cfg.enable_cgroups) << nf;
+    EXPECT_FALSE(mgr_cfg.enable_backpressure) << nf;
+    EXPECT_FALSE(mgr_cfg.enable_ecn) << nf;
+  }
+}
+
 TEST(ConfigLoader, RrCoreWithQuantum) {
   Simulation sim;
   const auto topo = load_string(R"(

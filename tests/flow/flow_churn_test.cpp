@@ -113,8 +113,10 @@ struct ChurnRun {
 };
 
 ChurnRun run_churn(std::uint64_t seed, std::uint32_t burst,
-                   double run_seconds = 0.3, double stop_seconds = 0.1) {
+                   double run_seconds = 0.3, double stop_seconds = 0.1,
+                   std::uint32_t sim_shards = 0) {
   core::PlatformConfig cfg;
+  cfg.sim_shards = sim_shards;
   cfg.flow_table.idle_timeout =
       static_cast<Cycles>(0.02 * cfg.cpu_hz);  // 20 ms idle -> expire
   core::Simulation sim(cfg);
@@ -188,9 +190,14 @@ TEST(FlowChurnDeterminism, EmissionInvariantAcrossBurstWindows) {
 
 // After traffic stops: every mbuf returns to the pool, the queues are
 // empty, and the expiry sweep drains the churned flow population back out
-// of the table — dense ids fully reclaimed.
-TEST(FlowChurnDeterminism, DrainsToZeroThroughExpiry) {
-  const ChurnRun r = run_churn(0xd1a1, 4, /*run_seconds=*/0.4);
+// of the table — dense ids fully reclaimed. The single-lane accessors the
+// run reads (flow table, pool, metrics) must be the lane that ran, on the
+// unsharded path and on a one-core sharded simulation alike.
+class FlowChurnDeterminism : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FlowChurnDeterminism, DrainsToZeroThroughExpiry) {
+  const ChurnRun r = run_churn(0xd1a1, 4, /*run_seconds=*/0.4,
+                               /*stop_seconds=*/0.1, GetParam());
   EXPECT_EQ(r.wire_ingress, r.admitted + r.entry_drops + r.unmatched_drops);
   EXPECT_GT(r.unmatched_drops, 0u)
       << "no flow ever outlived its table entry — churn too tame";
@@ -200,6 +207,14 @@ TEST(FlowChurnDeterminism, DrainsToZeroThroughExpiry) {
   EXPECT_GT(r.expirations, 0u);
   EXPECT_EQ(r.table_size, 0u) << "expiry sweep left flows behind";
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, FlowChurnDeterminism,
+                         ::testing::Values(0u, 1u),
+                         [](const auto& param_info) {
+                           return param_info.param == 0
+                                      ? std::string("Unsharded")
+                                      : std::string("Sharded");
+                         });
 
 // flow.* metrics from the table surface in the report for dashboards.
 TEST(FlowChurnDeterminism, FlowTableMetricsExported) {
@@ -237,7 +252,7 @@ TEST(FlowChurnDeterminism, SourceInstallsFreshTuples) {
 // Idle expiry frees a flow's dense id and churn hands it to a new flow.
 // The id's new owner must start from zero egress/ECN counts, and the old
 // flow's egress sink must not receive the new owner's packets — on the
-// legacy sweep and on the sharded (per-lane) sweep alike.
+// unsharded sweep and on the sharded (per-lane) sweep alike.
 class RecycledFlowId : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RecycledFlowId, NewOwnerStartsCleanAndOldSinkIsDropped) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace nfv::core {
 namespace {
@@ -24,6 +25,38 @@ TEST(Simulation, TimeAdvances) {
   EXPECT_NEAR(sim.now_seconds(), 0.25, 1e-9);
   sim.run_for_seconds(0.25);
   EXPECT_NEAR(sim.now_seconds(), 0.5, 1e-9);
+}
+
+// The single-lane accessors hand out the one lane's objects; with several
+// lanes (or none yet) they refuse in every build type rather than quietly
+// returning lane 0's replica. Per-NF queries go through mgr_of().
+TEST(Simulation, SingleLaneAccessorsRefuseSeveralLanes) {
+  PlatformConfig cfg;
+  cfg.sim_shards = 2;
+  Simulation sim(cfg);
+  EXPECT_THROW((void)sim.manager(), std::logic_error);  // no lane yet
+  const auto core0 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto a = sim.add_nf("a", core0, nf::CostModel::fixed(100));
+  EXPECT_EQ(&sim.manager(), &sim.mgr_of(a));
+  const auto core1 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto b = sim.add_nf("b", core1, nf::CostModel::fixed(100));
+  EXPECT_THROW((void)sim.engine(), std::logic_error);
+  EXPECT_THROW((void)sim.manager(), std::logic_error);
+  EXPECT_THROW((void)sim.pool(), std::logic_error);
+  EXPECT_THROW((void)sim.disk(), std::logic_error);
+  EXPECT_THROW((void)sim.flow_table(), std::logic_error);
+  EXPECT_THROW((void)sim.observability(), std::logic_error);
+  EXPECT_NE(&sim.mgr_of(a), &sim.mgr_of(b));
+  EXPECT_TRUE(sim.mgr_of(b).owns_nf(b));
+
+  // Unsharded, one lane owns every core.
+  Simulation unsharded;
+  const auto c0 = unsharded.add_core(SchedPolicy::kCfsBatch);
+  const auto c1 = unsharded.add_core(SchedPolicy::kCfsBatch);
+  const auto u0 = unsharded.add_nf("u0", c0, nf::CostModel::fixed(1));
+  const auto u1 = unsharded.add_nf("u1", c1, nf::CostModel::fixed(1));
+  EXPECT_EQ(&unsharded.mgr_of(u0), &unsharded.manager());
+  EXPECT_EQ(&unsharded.mgr_of(u1), &unsharded.manager());
 }
 
 TEST(Simulation, DeterministicAcrossRuns) {
