@@ -28,7 +28,6 @@ namespace {
 
 using nfv::Cycles;
 using nfv::sim::Engine;
-using nfv::sim::EngineBackend;
 using nfv::sim::EventId;
 
 /// Deterministic LCG so every run (and both engine generations) sees the
@@ -187,15 +186,13 @@ ScenarioResult run_periodic() {
 
 /// Million-timer steady state (DESIGN.md §15): 500k self-re-arming tickers
 /// plus 500k long-dated guard timers that are cancelled and replaced in a
-/// churn mix — 1M pending at every instant of the timed region. This is the
-/// regime the hierarchical timer wheel exists for: the heap pays
-/// O(log 1M) ≈ 10 cache-missing levels per operation, the wheel O(1) list
-/// splices. Seeding happens outside the timed region, and the run stops at
-/// a fixed horizon (not drain-to-empty) so the measurement never leaves the
-/// 1M-pending regime. The workload is identical for both backends: every
-/// schedule/cancel consumes the same LCG draws in the same order because
-/// dispatch order is backend-invariant.
-ScenarioResult run_timer_heavy(EngineBackend backend) {
+/// churn mix — 1M pending at every instant of the timed region, where the
+/// heap pays O(log 1M) ≈ 10 cache-missing levels per operation. No paper
+/// scenario comes near this regime; the rate is printed for reference and
+/// gated nowhere. Seeding happens outside the timed region, and the run
+/// stops at a fixed horizon (not drain-to-empty) so the measurement never
+/// leaves the 1M-pending regime.
+ScenarioResult run_timer_heavy() {
   constexpr std::size_t kTickers = 500'000;
   constexpr std::size_t kGuards = 500'000;
   constexpr Cycles kHorizon = Cycles{1} << 18;
@@ -205,7 +202,6 @@ ScenarioResult run_timer_heavy(EngineBackend backend) {
     std::vector<EventId> guards;
     std::uint64_t ticks = 0;
     std::uint64_t ops = 0;
-    explicit State(EngineBackend b) : engine(b) {}
     void tick() {
       engine.schedule_after(1 + static_cast<Cycles>(lcg.next() % (1u << 16)),
                             [this] { tick(); });
@@ -220,7 +216,7 @@ ScenarioResult run_timer_heavy(EngineBackend backend) {
       }
     }
   };
-  State st(backend);
+  State st;
   st.engine.reserve(kTickers + kGuards + 8);
   for (std::size_t i = 0; i < kTickers; ++i) {
     st.engine.schedule_after(1 + static_cast<Cycles>(st.lcg.next() % (1u << 16)),
@@ -235,8 +231,7 @@ ScenarioResult run_timer_heavy(EngineBackend backend) {
   const double t0 = now_seconds();
   st.engine.run_until(kHorizon);
   const double elapsed = now_seconds() - t0;
-  return {std::string("timer_1m_") + nfv::sim::to_string(backend),
-          st.engine.dispatched_events(), st.ops, elapsed};
+  return {"timer_1m", st.engine.dispatched_events(), st.ops, elapsed};
 }
 
 /// Min-of-N CPU time over identical deterministic repetitions.
@@ -267,19 +262,11 @@ int main(int argc, char** argv) {
       best_of(kReps, [] { return run_cancel_heavy(); }),
       best_of(kReps, [] { return run_periodic(); }),
   };
-  // The million-timer scenario runs under both ready-queue backends; it is
-  // kept out of the legacy aggregate so `events_per_sec` stays comparable
-  // with historical baselines (the heap scenarios above are unchanged).
-  const ScenarioResult timer_results[] = {
-      best_of(kReps, [] { return run_timer_heavy(EngineBackend::kHeap); }),
-      best_of(kReps, [] { return run_timer_heavy(EngineBackend::kWheel); }),
-  };
-  const double timer_heap_rate =
-      static_cast<double>(timer_results[0].events) /
-      timer_results[0].cpu_seconds;
-  const double timer_wheel_rate =
-      static_cast<double>(timer_results[1].events) /
-      timer_results[1].cpu_seconds;
+  // The million-timer scenario is kept out of the aggregate so
+  // `events_per_sec` stays comparable with historical baselines.
+  const ScenarioResult timer = best_of(kReps, [] { return run_timer_heavy(); });
+  const double timer_rate =
+      static_cast<double>(timer.events) / timer.cpu_seconds;
 
   std::uint64_t total_events = 0;
   double total_seconds = 0;
@@ -306,15 +293,13 @@ int main(int argc, char** argv) {
       writer.end_object();
     };
     for (const auto& r : results) write_row(r);
-    for (const auto& r : timer_results) write_row(r);
+    write_row(timer);
     writer.end_array();
     writer.field("total_events", total_events);
     writer.field("total_cpu_seconds", total_seconds);
     writer.field("events_per_sec",
                  static_cast<double>(total_events) / total_seconds);
-    writer.field("timer_events_per_sec_heap", timer_heap_rate);
-    writer.field("timer_events_per_sec_wheel", timer_wheel_rate);
-    writer.field("timer_wheel_speedup", timer_wheel_rate / timer_heap_rate);
+    writer.field("timer_events_per_sec", timer_rate);
     writer.end_object();
     std::printf("%s\n", out.str().c_str());
     return 0;
@@ -332,12 +317,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total_events), total_seconds,
               static_cast<double>(total_events) / total_seconds);
   std::printf("\nMillion-timer scenario (1M pending, schedule/cancel churn):\n");
-  for (const auto& r : timer_results) {
-    std::printf("%-18s %12llu %12.3f %14.0f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events), r.cpu_seconds,
-                static_cast<double>(r.events) / r.cpu_seconds);
-  }
-  std::printf("%-18s %43.2fx\n", "wheel speedup",
-              timer_wheel_rate / timer_heap_rate);
+  std::printf("%-18s %12llu %12.3f %14.0f\n", timer.name.c_str(),
+              static_cast<unsigned long long>(timer.events), timer.cpu_seconds,
+              timer_rate);
   return 0;
 }

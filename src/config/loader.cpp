@@ -55,46 +55,13 @@ Topology load(std::istream& in, core::Simulation& sim) {
   // One flow class per chain: re-classing silently overwrites shed state,
   // so the loader treats a second `class` line as a config bug.
   std::set<std::string> classed_chains;
-  // The engine directive rewires the ready queue, which is only safe while
-  // nothing is scheduled — so it must precede every topology directive.
-  bool topology_started = false;
-
   while (std::getline(in, line)) {
     ++line_no;
     const auto tokens = tokenize(line);
     if (tokens.empty()) continue;
     const std::string& verb = tokens[0];
-    if (verb != "mode" && verb != "engine") topology_started = true;
 
-    if (verb == "engine") {
-      if (topology_started) {
-        throw ConfigError(line_no,
-                          "engine must come before topology directives");
-      }
-      if (tokens.size() < 2) {
-        throw ConfigError(line_no,
-                          "engine takes a backend (heap|wheel) and options");
-      }
-      sim::EngineBackend backend;
-      if (!sim::parse_engine_backend(tokens[1].c_str(), backend)) {
-        throw ConfigError(line_no, "unknown engine backend '" + tokens[1] + "'");
-      }
-      sim.set_engine_backend(backend);
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        std::string key, value;
-        if (!split_kv(tokens[i], key, value)) {
-          throw ConfigError(line_no, "expected key=value, got '" + tokens[i] + "'");
-        }
-        if (key == "pending") {
-          const double hint = parse_double(line_no, value, "pending");
-          if (hint < 0.0) throw ConfigError(line_no, "pending must be >= 0");
-          sim.reserve_pending_events(static_cast<std::size_t>(hint));
-        } else {
-          throw ConfigError(line_no, "unknown engine option '" + key + "'");
-        }
-      }
-
-    } else if (verb == "mode") {
+    if (verb == "mode") {
       if (tokens.size() != 2) throw ConfigError(line_no, "mode takes 1 arg");
       const std::string& mode = tokens[1];
       if (mode == "nfvnice") {

@@ -10,11 +10,8 @@ namespace nfv::core {
 Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
            const flow::FlowTable::Config& flow_cfg,
            std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-           mgr::ShardLink* link, Cycles latency, sim::EngineBackend backend,
-           std::size_t pending_hint)
-    : id(lane_id), ev(lane_id, backend), pool(mempool_capacity),
-      flows(flow_cfg) {
-  ev.engine().reserve(pending_hint);
+           mgr::ShardLink* link, Cycles latency)
+    : id(lane_id), ev(lane_id), pool(mempool_capacity), flows(flow_cfg) {
   manager = std::make_unique<mgr::Manager>(ev.engine(), pool, flows, chains,
                                            mgr_cfg, &obs);
   if (link != nullptr) manager->set_shard_link(link, lane_id, latency);
@@ -44,13 +41,9 @@ ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
                            const mgr::ManagerConfig& mgr_cfg,
                            const flow::FlowTable::Config& flow_cfg,
                            std::uint32_t mempool_capacity,
-                           flow::ChainRegistry& chains,
-                           sim::EngineBackend backend,
-                           std::size_t pending_hint)
+                           flow::ChainRegistry& chains)
     : shards_(shards),
       latency_(latency),
-      backend_(backend),
-      pending_hint_(pending_hint),
       mgr_cfg_(mgr_cfg),
       flow_cfg_(flow_cfg),
       mempool_capacity_(mempool_capacity),
@@ -71,16 +64,8 @@ Lane& ShardRuntime::push_lane() {
   const auto id = static_cast<std::uint32_t>(lanes_.size());
   lanes_.push_back(std::make_unique<Lane>(
       id, mgr_cfg_, flow_cfg_, mempool_capacity_, chains_,
-      sharded() ? this : nullptr, latency_, backend_, pending_hint_));
+      sharded() ? this : nullptr, latency_));
   return *lanes_.back();
-}
-
-void ShardRuntime::set_engine_backend(sim::EngineBackend backend) {
-  backend_ = backend;
-  for (auto& lane : lanes_) {
-    lane->ev.engine().set_backend(backend);
-    lane->ev.engine().reserve(pending_hint_);
-  }
 }
 
 void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
@@ -90,11 +75,6 @@ void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
   for (auto& lane : lanes_) {
     lane->manager->set_features(cgroups, backpressure, ecn);
   }
-}
-
-void ShardRuntime::set_pending_hint(std::size_t hint) {
-  pending_hint_ = hint;
-  for (auto& lane : lanes_) lane->ev.engine().reserve(hint);
 }
 
 std::uint64_t ShardRuntime::dispatched_events() const {

@@ -55,8 +55,7 @@ struct Lane {
   /// or registers cross-lane state.
   Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
        const flow::FlowTable::Config& flow_cfg, std::uint32_t mempool_capacity,
-       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency,
-       sim::EngineBackend backend, std::size_t pending_hint);
+       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency);
 
   std::uint32_t id;
   sim::EventLane ev;
@@ -90,9 +89,7 @@ class ShardRuntime final : public mgr::ShardLink {
   ShardRuntime(std::uint32_t shards, Cycles latency,
                const mgr::ManagerConfig& mgr_cfg,
                const flow::FlowTable::Config& flow_cfg,
-               std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-               sim::EngineBackend backend = sim::EngineBackend::kHeap,
-               std::size_t pending_hint = 0);
+               std::uint32_t mempool_capacity, flow::ChainRegistry& chains);
   ~ShardRuntime() override;
 
   /// True when every core gets its own lane (shards >= 1).
@@ -111,16 +108,6 @@ class ShardRuntime final : public mgr::ShardLink {
   /// Flip the Manager control-plane features on every lane, existing and
   /// future (see mgr::Manager::set_features).
   void set_features(bool cgroups, bool backpressure, bool ecn);
-
-  /// Ready-queue backend for lanes (existing lanes are switched too; only
-  /// legal before anything is scheduled on them). Lane event *content* is
-  /// backend-independent — this is purely a performance knob.
-  void set_engine_backend(sim::EngineBackend backend);
-  [[nodiscard]] sim::EngineBackend engine_backend() const { return backend_; }
-
-  /// Pending-events pre-size hint applied to every lane engine, existing
-  /// and future (see PlatformConfig::pending_events_hint).
-  void set_pending_hint(std::size_t hint);
 
   [[nodiscard]] const std::vector<std::unique_ptr<Lane>>& lanes() const {
     return lanes_;
@@ -176,8 +163,6 @@ class ShardRuntime final : public mgr::ShardLink {
 
   std::uint32_t shards_;
   Cycles latency_;
-  sim::EngineBackend backend_;
-  std::size_t pending_hint_;
   // Copies of the platform knobs, so lanes added later see the same config
   // as the first.
   mgr::ManagerConfig mgr_cfg_;

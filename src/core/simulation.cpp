@@ -76,17 +76,6 @@ Simulation::Simulation(PlatformConfig config)
       if (v > 0) config_.sim_shards = static_cast<std::uint32_t>(v);
     }
   }
-  // Ready-queue backend opt-in (DESIGN.md §15): same contract as the shards
-  // knob — an explicit config wins, otherwise NFV_ENGINE_BACKEND applies.
-  // Either way the event *order* is identical; this only picks the queue's
-  // data structure.
-  if (config_.engine_backend == sim::EngineBackend::kHeap) {
-    sim::EngineBackend env_backend;
-    if (sim::parse_engine_backend(std::getenv("NFV_ENGINE_BACKEND"),
-                                  env_backend)) {
-      config_.engine_backend = env_backend;
-    }
-  }
   // The admission trickle bucket is specified in packets per second; give
   // it this platform's clock so the cycle conversion is right (no-op for
   // runs that never register a flow class).
@@ -95,22 +84,10 @@ Simulation::Simulation(PlatformConfig config)
   // probes) right here; sharded, each add_core() adds a lane.
   shard_ = std::make_unique<ShardRuntime>(
       config_.sim_shards, config_.cross_lane_latency, config_.manager,
-      config_.flow_table, config_.mempool_capacity, chains_,
-      config_.engine_backend, config_.pending_events_hint);
+      config_.flow_table, config_.mempool_capacity, chains_);
 }
 
 Simulation::~Simulation() = default;
-
-void Simulation::set_engine_backend(sim::EngineBackend backend) {
-  assert(!started_ && "the backend is frozen once the simulation has run");
-  config_.engine_backend = backend;
-  shard_->set_engine_backend(backend);
-}
-
-void Simulation::reserve_pending_events(std::size_t hint) {
-  config_.pending_events_hint = hint;
-  shard_->set_pending_hint(hint);
-}
 
 void Simulation::set_features(bool cgroups, bool backpressure, bool ecn) {
   config_.manager.enable_cgroups = cgroups;

@@ -13,27 +13,17 @@
 // at dispatch — no per-event heap allocation for ordinary lambdas and no
 // intermediate moves.
 //
-// Two ready-queue backends share that slot pool (DESIGN.md §15):
+// The ready queue is a 4-ary heap of 16-byte keys owned by the engine —
+// (when, seq, slot) packed into one 128-bit integer, so a heap comparison
+// is a single wide compare and a children group is two cache lines
+// (DESIGN.md §15). Cancellation is O(1) and lazy: it clears the slot's
+// armed state and the stale heap key is discarded for free when it
+// surfaces.
 //
-//  - kHeap (default): a 4-ary heap of 16-byte keys owned by the engine —
-//    (when, seq, slot) packed into one 128-bit integer, so a heap
-//    comparison is a single wide compare and a children group is two cache
-//    lines. Cancellation is O(1) and lazy: it clears the slot's armed state
-//    and the stale heap key is discarded for free when it surfaces.
-//  - kWheel: a hierarchical timer wheel — 8 levels of 256 slots at
-//    granularities 1, 2^8, ... 2^56 cycles, each wheel cell an intrusive
-//    doubly-linked chain threaded through a per-slot side array (no
-//    per-event allocation). schedule_at and cancel are O(1) (cancel
-//    unlinks immediately, so a million cancelled far-future timers cost no
-//    residual memory), ordering is amortized into level cascades, and a
-//    near-horizon dispatch buffer sorts same-cycle ties by seq — so the
-//    dispatch order, and with it every report and trace, is byte-identical
-//    to the heap backend.
-//
-// Event order is the same under both: total by (when, seq). An EventId
-// encodes (slot index, sequence number); sequence numbers are never
-// reused, so cancelling an already-fired or never-issued id is a true
-// no-op — no bookkeeping grows with it.
+// Event order is total by (when, seq). An EventId encodes (slot index,
+// sequence number); sequence numbers are never reused, so cancelling an
+// already-fired or never-issued id is a true no-op — no bookkeeping grows
+// with it.
 #pragma once
 
 #include <cassert>
@@ -57,41 +47,23 @@ namespace nfv::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Ready-queue implementation behind an Engine. Dispatch order — and with
-/// it every simulation report and trace — is identical under both; the
-/// choice is purely a performance trade (the heap wins at the small
-/// pending counts of a chain run, the wheel at hundreds of thousands of
-/// outstanding timers). Selected per Simulation via
-/// PlatformConfig::engine_backend or the NFV_ENGINE_BACKEND env var.
-enum class EngineBackend : std::uint8_t {
-  kHeap,   ///< 4-ary min-heap of packed keys (default).
-  kWheel,  ///< Hierarchical timer wheel: O(1) schedule/cancel at huge N.
-};
-
-const char* to_string(EngineBackend backend);
-
-/// "heap" / "wheel" -> backend; anything else (including null) -> false.
-bool parse_engine_backend(const char* text, EngineBackend& out);
+/// Tag naming the engine's one ready queue. Kept only because perfbench/
+/// names it; it goes with perfbench's next change.
+enum class EngineBackend : std::uint8_t { kHeap };
 
 class Engine {
  public:
   using Callback = SmallCallback;
 
-  explicit Engine(EngineBackend backend = EngineBackend::kHeap) {
-    if (backend != EngineBackend::kHeap) set_backend(backend);
-  }
+  Engine() = default;
+  /// Tag constructor perfbench/ calls; goes with perfbench's next change.
+  explicit Engine(EngineBackend /*heap*/) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Switch the ready-queue backend. Only legal while no events are
-  /// pending (typically right after construction, before the topology
-  /// schedules anything).
-  void set_backend(EngineBackend backend);
-  [[nodiscard]] EngineBackend backend() const { return backend_; }
-
-  /// Pre-size the slot pool and the backend's ready-queue storage for
-  /// `pending_hint` concurrently pending events, so benches and
-  /// million-timer workloads do not pay warm-up reallocation spikes.
+  /// Pre-size the slot pool and the heap for `pending_hint` concurrently
+  /// pending events, so benches and million-timer workloads do not pay
+  /// warm-up reallocation spikes.
   void reserve(std::size_t pending_hint);
 
   [[nodiscard]] Cycles now() const { return now_; }
@@ -109,11 +81,7 @@ class Engine {
     emplace_callback(slot, std::forward<F>(cb));
     const std::uint64_t seq = next_seq_++;
     slot.state = kArmedBit | seq;
-    if (backend_ == EngineBackend::kHeap) {
-      heap_push(make_key(when, seq, index));
-    } else {
-      wheel_insert(make_key(when, seq, index));
-    }
+    heap_push(make_key(when, seq, index));
     ++pending_;
     return make_id(index, seq);
   }
@@ -141,11 +109,7 @@ class Engine {
       periodic_birth_.resize(slot_count_);
     }
     periodic_birth_[index] = seq;
-    if (backend_ == EngineBackend::kHeap) {
-      heap_push(make_key(now_ + period, seq, index));
-    } else {
-      wheel_insert(make_key(now_ + period, seq, index));
-    }
+    heap_push(make_key(now_ + period, seq, index));
     ++pending_;
     return make_id(index, seq);
   }
@@ -263,37 +227,9 @@ class Engine {
     heap_[i] = key;
   }
 
-  // -- timer-wheel backend (DESIGN.md §15) ----------------------------------
-  //
-  // 8 levels x 256 cells; level k cells are 2^(8k) cycles wide, so the 8
-  // levels together cover the whole non-negative Cycles range with no
-  // overflow list. An armed event's full 128-bit key lives by value in
-  // exactly one cell bucket, picked so that (when >> 8k) is within 255
-  // shifted units of the wheel cursor — which makes every `when` in a
-  // level-0 bucket identical (two residents would have to differ by a full
-  // 256-unit wrap, and both being >= the cursor and <= cursor+255 forbids
-  // that). Value buckets keep the hot paths streaming: inserts are tail
-  // appends, cascades are sequential sweeps, and cancellation is lazy —
-  // the slot is released immediately (sequence numbers are never reused,
-  // so the stale key can't match again) and the key is discarded for free
-  // by dispatch's armed check, exactly like a stale heap entry.
-  static constexpr unsigned kWheelLevelBits = 8;
-  static constexpr std::size_t kWheelSpan = std::size_t{1} << kWheelLevelBits;
-  static constexpr unsigned kWheelLevels = 8;
-  static constexpr std::size_t kWheelCells = kWheelLevels * kWheelSpan;
-  static constexpr std::size_t kWheelWordsPerLevel = kWheelSpan / 64;
-
-  void wheel_insert(Key key);
-  void wheel_set_bit(std::size_t cell);
-  void wheel_clear_bit(std::size_t cell);
-  [[nodiscard]] int wheel_find_from(unsigned level, unsigned from) const;
-  Cycles wheel_next_time(Cycles deadline);
-  std::uint64_t dispatch_wheel(Cycles deadline);
-
   void release_slot(std::uint32_t index);
   void heap_pop();
   std::uint64_t dispatch_until(Cycles deadline);
-  std::uint64_t dispatch_heap(Cycles deadline);
   void dispatch_periodic(std::uint32_t index);
 
   static EventId make_id(std::uint32_t slot, std::uint64_t seq) {
@@ -305,26 +241,7 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
   std::size_t pending_ = 0;
-  EngineBackend backend_ = EngineBackend::kHeap;
   std::vector<Key> heap_;  // 4-ary min-heap over packed (when, seq, slot)
-  // -- wheel state (allocated only when the wheel backend is selected) ------
-  /// Wheel cursor: every pending event's `when` is >= wheel_time_; it
-  /// advances to each cascaded cell's span start and each dispatch time,
-  /// and (unlike now_) never runs ahead of the earliest pending event.
-  Cycles wheel_time_ = 0;
-  std::vector<std::vector<Key>> wheel_cells_;  ///< kWheelCells value buckets
-  std::uint64_t wheel_bits_[kWheelLevels * kWheelWordsPerLevel] = {};
-  std::uint8_t wheel_level_mask_ = 0;  ///< bit k set: level k has occupants
-  /// Per-timestamp dispatch buffer: one batch's (seq << 24 | slot) keys,
-  /// sorted ascending so same-cycle ties fire in seq order — the exact
-  /// (when, seq) order the heap backend produces.
-  std::vector<std::uint64_t> ready_;
-  /// Near-horizon window: one level-1 bucket (a full 256-cycle span) taken
-  /// wholesale and sorted, consumed front-to-back by dispatch. Saves the
-  /// per-event cascade into level-0 buckets — the window IS the sorted
-  /// span. Entries at indices < wpos_ are consumed.
-  std::vector<Key> window_;
-  std::size_t wpos_ = 0;
   std::vector<std::unique_ptr<Slot[]>> pages_;
   std::size_t slot_count_ = 0;
   std::uint32_t free_head_ = kNilIndex;

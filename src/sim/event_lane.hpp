@@ -28,9 +28,7 @@ namespace nfv::sim {
 
 class EventLane {
  public:
-  explicit EventLane(std::uint32_t id,
-                     EngineBackend backend = EngineBackend::kHeap)
-      : id_(id), engine_(backend) {}
+  explicit EventLane(std::uint32_t id) : id_(id) {}
 
   EventLane(const EventLane&) = delete;
   EventLane& operator=(const EventLane&) = delete;

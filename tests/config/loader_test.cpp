@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace nfv::config {
 namespace {
 
@@ -394,48 +392,18 @@ TEST(ConfigLoader, OverlappingDeviceFaultsCarryLineNumbers) {
   }
 }
 
-// -- engine directive (DESIGN.md §15) ---------------------------------------
-
-TEST(ConfigLoader, EngineDirectiveSelectsWheel) {
-  ::unsetenv("NFV_ENGINE_BACKEND");
+// The engine has one ready queue and no directive selects it: `engine`
+// is an unknown directive like any other misspelt verb.
+TEST(ConfigLoader, EngineDirectiveIsUnknown) {
   Simulation sim;
-  const auto topo = load_string(R"(
-    engine wheel pending=100000
-    core batch
-    nf fwd core=0 cost=120
-    chain c fwd
-    udp c rate=1e5
-  )",
-                                sim);
-  EXPECT_EQ(sim.engine_backend(), nfv::sim::EngineBackend::kWheel);
-  sim.run_for_seconds(0.05);
-  EXPECT_GT(sim.chain_metrics(topo.chains.at("c")).egress_packets, 4000u);
-}
-
-TEST(ConfigLoader, EngineDirectiveHeapIsDefault) {
-  ::unsetenv("NFV_ENGINE_BACKEND");
-  Simulation sim;
-  load_string("engine heap\ncore batch\n", sim);
-  EXPECT_EQ(sim.engine_backend(), nfv::sim::EngineBackend::kHeap);
-}
-
-TEST(ConfigLoader, EngineAfterTopologyFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("core batch\nengine wheel\n", sim), ConfigError);
-}
-
-TEST(ConfigLoader, EngineUnknownBackendFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("engine quantum\n", sim), ConfigError);
-}
-
-TEST(ConfigLoader, EngineBadPendingFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("engine wheel pending=lots\n", sim), ConfigError);
-  Simulation sim2;
-  EXPECT_THROW(load_string("engine wheel pending=-5\n", sim2), ConfigError);
-  Simulation sim3;
-  EXPECT_THROW(load_string("engine wheel speed=11\n", sim3), ConfigError);
+  try {
+    load_string("core batch\nengine heap\n", sim);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("unknown directive"),
+              std::string::npos);
+  }
 }
 
 // -- slo directive (DESIGN.md §16) ------------------------------------------

@@ -5,15 +5,13 @@
 // mailboxes are double-buffered by epoch parity so each epoch costs one
 // barrier. These cases pin the observable consequences: application order,
 // the event count of a drain, where same-timestamp follow-up events land,
-// and that splitting a run into many calls changes nothing. The suite
-// honours NFV_ENGINE_BACKEND, so CI's TSan job runs it on both backends.
+// and that splitting a run into many calls changes nothing.
 
 #include "core/shard_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,18 +22,12 @@ namespace {
 
 constexpr Cycles kLatency = 1000;
 
-sim::EngineBackend env_backend() {
-  sim::EngineBackend backend = sim::EngineBackend::kHeap;
-  sim::parse_engine_backend(std::getenv("NFV_ENGINE_BACKEND"), backend);
-  return backend;
-}
-
 /// A bare runtime: lanes with Manager replicas that are never started, so
 /// the only engine events are the ones a test schedules and the deliveries.
 struct Rig {
   Rig(std::uint32_t lanes, std::uint32_t shards)
       : rt(shards, kLatency, mgr::ManagerConfig{}, flow::FlowTable::Config{},
-           64, chains, env_backend()) {
+           64, chains) {
     for (std::uint32_t i = 0; i < lanes; ++i) rt.add_lane();
   }
 

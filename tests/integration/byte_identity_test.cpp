@@ -1,9 +1,9 @@
 // Byte-identity guard for unsharded runs: pins FNV-1a digests of
-// report_json() and the Chrome trace for four topologies that between them
+// report_json() and the Chrome trace for five topologies that between them
 // exercise every part of the platform the report and trace cover — the
-// Fig. 7 chain, a two-core admission + push-aside + SLO mix (whose trace is
-// not timestamp-monotone), flow churn with idle expiry, and a crash plus
-// device-fault plan over async I/O. Each run starts with a zero-length call
+// Fig. 7 chain, the Tab. 3 round-robin drop split, a two-core admission +
+// push-aside + SLO mix (whose trace is not timestamp-monotone), flow churn
+// with idle expiry, and a crash plus device-fault plan over async I/O. Each run starts with a zero-length call
 // and advances in 1 ms calls, so the run boundary is pinned too. Any change
 // to event order, metric registration order or report layout moves a
 // digest; a deliberate one must re-pin it and say why.
@@ -64,6 +64,22 @@ TEST(UnshardedByteIdentity, Fig07Chain) {
   const Digests d = run_and_digest(sim, recorder, 20);
   EXPECT_EQ(d.report, 0xc54b63eb8cfaf875ULL);
   EXPECT_EQ(d.trace, 0x09b4575509557f4cULL);
+}
+
+// Tab. 3 grid point: an overloaded chain on the round-robin scheduler,
+// where drops split between entry discards and full rings.
+TEST(UnshardedByteIdentity, Tab03DropRatePoint) {
+  Simulation sim;
+  const auto core = sim.add_core(SchedPolicy::kRoundRobin, 1.0);
+  const auto a = sim.add_nf("a", core, nf::CostModel::fixed(550));
+  const auto b = sim.add_nf("b", core, nf::CostModel::fixed(270));
+  const auto chain = sim.add_chain("c", {a, b});
+  sim.add_udp_flow(chain, 8e6, seeded(3));
+  obs::TraceRecorder recorder;
+  sim.attach_trace(recorder);
+  const Digests d = run_and_digest(sim, recorder, 30);
+  EXPECT_EQ(d.report, 0xf9c6a586c59c6af2ULL);
+  EXPECT_EQ(d.trace, 0xa7945b1700d3e7e8ULL);
 }
 
 TEST(UnshardedByteIdentity, AdmissionPushAsideSlo) {

@@ -3,14 +3,17 @@
 // For any topology (random cores/policies/NF costs/chains/rates/seeds) the
 // platform must uphold its invariants: packets are conserved, the mbuf
 // pool never leaks, no NF runs beyond wall time, egress never exceeds the
-// narrowest bottleneck, and the run is deterministic under its seed.
+// narrowest bottleneck, and the run is deterministic under its seed. Every
+// seed runs unsharded and again with one event lane per core.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
+#include "lane_totals.hpp"
 
 namespace nfv::core {
 namespace {
@@ -71,6 +74,9 @@ struct RunResult {
   std::uint64_t rx_full_drops = 0;
   std::uint64_t in_queues = 0;
   std::uint64_t pool_in_use = 0;
+  /// Cross-lane messages posted but not yet received: an upper bound on
+  /// the packets between lanes (always 0 unsharded).
+  std::uint64_t in_transit = 0;
   std::vector<Cycles> nf_runtime;
   double elapsed_seconds = 0.0;
 };
@@ -95,8 +101,10 @@ RunResult run(const RandomTopology& topo, double secs) {
   sim.run_for_seconds(secs);
 
   RunResult result;
-  result.wire_ingress = sim.manager().wire_ingress();
-  result.pool_in_use = sim.pool().in_use();
+  const LaneTotals totals = lane_totals(sim);
+  result.wire_ingress = totals.wire_ingress;
+  result.pool_in_use = totals.mbufs_in_use;
+  result.in_transit = totals.in_transit;
   result.elapsed_seconds = sim.now_seconds();
   for (const auto chain : chains) {
     const auto cm = sim.chain_metrics(chain);
@@ -114,18 +122,46 @@ RunResult run(const RandomTopology& topo, double secs) {
   return result;
 }
 
-class RandomTopologyTest : public ::testing::TestWithParam<std::uint64_t> {};
+struct TopologyCase {
+  std::uint64_t seed;
+  bool sharded;
+  /// Printed as the bare seed, so a case's name is its seed.
+  friend void PrintTo(const TopologyCase& c, std::ostream* os) {
+    *os << c.seed;
+  }
+};
+
+std::vector<TopologyCase> seeds(bool sharded) {
+  std::vector<TopologyCase> cases;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    cases.push_back({seed, sharded});
+  }
+  return cases;
+}
+
+class RandomTopologyTest : public ::testing::TestWithParam<TopologyCase> {
+ protected:
+  /// This case's topology; sharded cases get one event lane per core.
+  static RandomTopology topology() {
+    RandomTopology topo = generate(GetParam().seed);
+    if (GetParam().sharded) {
+      topo.config.sim_shards = static_cast<std::uint32_t>(topo.cores);
+    }
+    return topo;
+  }
+};
 
 TEST_P(RandomTopologyTest, InvariantsHold) {
-  const auto topo = generate(GetParam());
+  const auto topo = topology();
   const auto r = run(topo, 0.08);
 
   // Admission accounting.
   EXPECT_EQ(r.wire_ingress, r.entry_admitted + r.entry_drops);
   // Conservation: admitted = egress + drops + still-queued + in-flight
-  // (one in-flight packet per NF at most; handler drops are zero here).
+  // (one in-flight packet per NF at most; handler drops are zero here),
+  // plus, sharded, whatever is crossing between lanes.
   const std::uint64_t accounted = r.egress + r.rx_full_drops + r.in_queues;
-  EXPECT_LE(r.entry_admitted, accounted + topo.nfs.size());
+  EXPECT_LE(r.entry_admitted, accounted + r.in_transit + topo.nfs.size());
   EXPECT_GE(r.entry_admitted + topo.nfs.size(), accounted);
   // Pool: everything alive is in a queue or in flight.
   EXPECT_LE(r.pool_in_use, r.in_queues + topo.nfs.size());
@@ -137,7 +173,7 @@ TEST_P(RandomTopologyTest, InvariantsHold) {
 }
 
 TEST_P(RandomTopologyTest, DeterministicUnderSeed) {
-  const auto topo = generate(GetParam());
+  const auto topo = topology();
   const auto a = run(topo, 0.05);
   const auto b = run(topo, 0.05);
   EXPECT_EQ(a.egress, b.egress);
@@ -147,7 +183,9 @@ TEST_P(RandomTopologyTest, DeterministicUnderSeed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyTest,
-                         ::testing::Range<std::uint64_t>(1, 21));
+                         ::testing::ValuesIn(seeds(false)));
+INSTANTIATE_TEST_SUITE_P(Sharded, RandomTopologyTest,
+                         ::testing::ValuesIn(seeds(true)));
 
 }  // namespace
 }  // namespace nfv::core

@@ -2,35 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <string>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 namespace nfv::sim {
 namespace {
 
-// Every behavioural contract below must hold for both ready-queue backends
-// (DESIGN.md §15): the wheel is a performance substitute for the heap, not a
-// semantic variant. The suite is instantiated once per backend.
-class EngineBackendTest : public ::testing::TestWithParam<EngineBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EngineBackendTest,
-    ::testing::Values(EngineBackend::kHeap, EngineBackend::kWheel),
-    [](const ::testing::TestParamInfo<EngineBackend>& param) {
-      return std::string(to_string(param.param));
-    });
-
-TEST_P(EngineBackendTest, StartsAtZero) {
-  Engine e{GetParam()};
+TEST(Engine, StartsAtZero) {
+  Engine e;
   EXPECT_EQ(e.now(), 0);
   EXPECT_EQ(e.pending_events(), 0u);
-  EXPECT_EQ(e.backend(), GetParam());
 }
 
-TEST_P(EngineBackendTest, EventsFireInTimeOrder) {
-  Engine e{GetParam()};
+TEST(Engine, EventsFireInTimeOrder) {
+  Engine e;
   std::vector<int> order;
   e.schedule_at(30, [&] { order.push_back(3); });
   e.schedule_at(10, [&] { order.push_back(1); });
@@ -40,8 +31,8 @@ TEST_P(EngineBackendTest, EventsFireInTimeOrder) {
   EXPECT_EQ(e.now(), 30);
 }
 
-TEST_P(EngineBackendTest, TiesBreakInSchedulingOrder) {
-  Engine e{GetParam()};
+TEST(Engine, TiesBreakInSchedulingOrder) {
+  Engine e;
   std::vector<int> order;
   e.schedule_at(5, [&] { order.push_back(1); });
   e.schedule_at(5, [&] { order.push_back(2); });
@@ -50,8 +41,8 @@ TEST_P(EngineBackendTest, TiesBreakInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EngineBackendTest, ScheduleAfterIsRelative) {
-  Engine e{GetParam()};
+TEST(Engine, ScheduleAfterIsRelative) {
+  Engine e;
   Cycles fired_at = -1;
   e.schedule_at(100, [&] {
     e.schedule_after(50, [&] { fired_at = e.now(); });
@@ -60,8 +51,8 @@ TEST_P(EngineBackendTest, ScheduleAfterIsRelative) {
   EXPECT_EQ(fired_at, 150);
 }
 
-TEST_P(EngineBackendTest, NegativeDelayClampsToNow) {
-  Engine e{GetParam()};
+TEST(Engine, NegativeDelayClampsToNow) {
+  Engine e;
   Cycles fired_at = -1;
   e.schedule_at(10, [&] {
     e.schedule_after(-5, [&] { fired_at = e.now(); });
@@ -70,8 +61,8 @@ TEST_P(EngineBackendTest, NegativeDelayClampsToNow) {
   EXPECT_EQ(fired_at, 10);
 }
 
-TEST_P(EngineBackendTest, RunUntilStopsAtDeadline) {
-  Engine e{GetParam()};
+TEST(Engine, RunUntilStopsAtDeadline) {
+  Engine e;
   int fired = 0;
   e.schedule_at(10, [&] { ++fired; });
   e.schedule_at(20, [&] { ++fired; });
@@ -84,14 +75,14 @@ TEST_P(EngineBackendTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST_P(EngineBackendTest, RunUntilAdvancesClockWhenIdle) {
-  Engine e{GetParam()};
+TEST(Engine, RunUntilAdvancesClockWhenIdle) {
+  Engine e;
   e.run_until(1000);
   EXPECT_EQ(e.now(), 1000);
 }
 
-TEST_P(EngineBackendTest, CancelPreventsExecution) {
-  Engine e{GetParam()};
+TEST(Engine, CancelPreventsExecution) {
+  Engine e;
   bool fired = false;
   const EventId id = e.schedule_at(10, [&] { fired = true; });
   EXPECT_TRUE(e.cancel(id));
@@ -99,8 +90,8 @@ TEST_P(EngineBackendTest, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EngineBackendTest, CancelIsIdempotent) {
-  Engine e{GetParam()};
+TEST(Engine, CancelIsIdempotent) {
+  Engine e;
   const EventId id = e.schedule_at(10, [] {});
   EXPECT_TRUE(e.cancel(id));
   EXPECT_FALSE(e.cancel(id));
@@ -109,8 +100,8 @@ TEST_P(EngineBackendTest, CancelIsIdempotent) {
   e.run();
 }
 
-TEST_P(EngineBackendTest, CancelFromWithinEarlierEvent) {
-  Engine e{GetParam()};
+TEST(Engine, CancelFromWithinEarlierEvent) {
+  Engine e;
   bool fired = false;
   const EventId id = e.schedule_at(20, [&] { fired = true; });
   e.schedule_at(10, [&] { e.cancel(id); });
@@ -118,16 +109,16 @@ TEST_P(EngineBackendTest, CancelFromWithinEarlierEvent) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EngineBackendTest, PeriodicFiresRepeatedly) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicFiresRepeatedly) {
+  Engine e;
   int count = 0;
   e.schedule_periodic(10, [&] { ++count; });
   e.run_until(100);
   EXPECT_EQ(count, 10);  // t=10,20,...,100
 }
 
-TEST_P(EngineBackendTest, PeriodicCancelStops) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicCancelStops) {
+  Engine e;
   int count = 0;
   const EventId id = e.schedule_periodic(10, [&] { ++count; });
   e.schedule_at(35, [&] { e.cancel(id); });
@@ -135,8 +126,8 @@ TEST_P(EngineBackendTest, PeriodicCancelStops) {
   EXPECT_EQ(count, 3);  // t=10,20,30
 }
 
-TEST_P(EngineBackendTest, PeriodicCanCancelItself) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicCanCancelItself) {
+  Engine e;
   int count = 0;
   EventId id = kInvalidEventId;
   id = e.schedule_periodic(10, [&] {
@@ -146,15 +137,15 @@ TEST_P(EngineBackendTest, PeriodicCanCancelItself) {
   EXPECT_EQ(count, 5);
 }
 
-TEST_P(EngineBackendTest, DispatchedEventsCounts) {
-  Engine e{GetParam()};
+TEST(Engine, DispatchedEventsCounts) {
+  Engine e;
   for (int i = 0; i < 5; ++i) e.schedule_at(i, [] {});
   e.run();
   EXPECT_EQ(e.dispatched_events(), 5u);
 }
 
-TEST_P(EngineBackendTest, EventsScheduledDuringRunAreExecuted) {
-  Engine e{GetParam()};
+TEST(Engine, EventsScheduledDuringRunAreExecuted) {
+  Engine e;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 100) e.schedule_after(1, recurse);
@@ -165,10 +156,10 @@ TEST_P(EngineBackendTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(e.now(), 99);
 }
 
-TEST_P(EngineBackendTest, SameCycleInsertionDuringDispatchFires) {
+TEST(Engine, SameCycleInsertionDuringDispatchFires) {
   // A callback scheduling at the *current* cycle must see the new event run
-  // in the same batch (the wheel re-drains its level-0 cell for this).
-  Engine e{GetParam()};
+  // at that cycle, after the events already due then.
+  Engine e;
   std::vector<int> order;
   e.schedule_at(10, [&] {
     order.push_back(1);
@@ -180,10 +171,10 @@ TEST_P(EngineBackendTest, SameCycleInsertionDuringDispatchFires) {
   EXPECT_EQ(e.now(), 10);
 }
 
-TEST_P(EngineBackendTest, CancelAfterFireIsNoOp) {
+TEST(Engine, CancelAfterFireIsNoOp) {
   // Regression: cancelling an already-fired one-shot used to decrement
   // pending_events (underflowing the gauge) and leak heap bookkeeping.
-  Engine e{GetParam()};
+  Engine e;
   int fired = 0;
   const EventId id = e.schedule_at(10, [&] { ++fired; });
   e.run();
@@ -199,10 +190,10 @@ TEST_P(EngineBackendTest, CancelAfterFireIsNoOp) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, StaleIdCannotCancelReusedSlot) {
+TEST(Engine, StaleIdCannotCancelReusedSlot) {
   // After a one-shot fires, its slot is recycled for new events. A stale
   // EventId (same slot, older generation) must not cancel the new tenant.
-  Engine e{GetParam()};
+  Engine e;
   bool second_fired = false;
   const EventId old_id = e.schedule_at(1, [] {});
   e.run();
@@ -214,10 +205,10 @@ TEST_P(EngineBackendTest, StaleIdCannotCancelReusedSlot) {
   EXPECT_NE(old_id, new_id);
 }
 
-TEST_P(EngineBackendTest, CancelledSlotIsRecycledSafely) {
+TEST(Engine, CancelledSlotIsRecycledSafely) {
   // Cancelling an armed event frees its slot immediately; a stale cancel of
   // the same id after the slot is re-armed must be refused.
-  Engine e{GetParam()};
+  Engine e;
   const EventId a = e.schedule_at(50, [] { FAIL() << "cancelled event ran"; });
   EXPECT_TRUE(e.cancel(a));
   EXPECT_EQ(e.pending_events(), 0u);
@@ -228,10 +219,10 @@ TEST_P(EngineBackendTest, CancelledSlotIsRecycledSafely) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(EngineBackendTest, OneShotSelfCancelDuringDispatchIsNoOp) {
+TEST(Engine, OneShotSelfCancelDuringDispatchIsNoOp) {
   // A callback cancelling its own (already-firing) id must get `false` and
   // leave the engine consistent.
-  Engine e{GetParam()};
+  Engine e;
   EventId id = kInvalidEventId;
   bool self_cancel_result = true;
   id = e.schedule_at(10, [&] { self_cancel_result = e.cancel(id); });
@@ -240,10 +231,10 @@ TEST_P(EngineBackendTest, OneShotSelfCancelDuringDispatchIsNoOp) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, ManyCancelledEventsDoNotAccumulateState) {
+TEST(Engine, ManyCancelledEventsDoNotAccumulateState) {
   // With O(1) cancellation the slot must be reusable at once: heavy
   // schedule/cancel churn keeps pending_events exact.
-  Engine e{GetParam()};
+  Engine e;
   for (int round = 0; round < 1000; ++round) {
     const EventId id = e.schedule_after(100, [] {});
     EXPECT_TRUE(e.cancel(id));
@@ -256,12 +247,12 @@ TEST_P(EngineBackendTest, ManyCancelledEventsDoNotAccumulateState) {
   EXPECT_EQ(e.dispatched_events(), 1u);
 }
 
-TEST_P(EngineBackendTest, DeterministicUnderChurn) {
+TEST(Engine, DeterministicUnderChurn) {
   // Two engines fed the identical schedule/cancel pattern must observe the
   // identical dispatch sequence — the determinism contract every simulation
   // above relies on.
-  const auto run_once = [this] {
-    Engine e{GetParam()};
+  const auto run_once = [] {
+    Engine e;
     std::vector<Cycles> fire_times;
     std::vector<EventId> live;
     std::uint64_t seed = 99;
@@ -283,14 +274,14 @@ TEST_P(EngineBackendTest, DeterministicUnderChurn) {
   EXPECT_FALSE(a.empty());
 }
 
-TEST_P(EngineBackendTest, PopsThroughEveryPartialChildGroup) {
+TEST(Engine, PopsThroughEveryPartialChildGroup) {
   // A heap pop whose sift-down reaches a last child group that is only
   // partly filled (grandchild < size <= grandchild + 3) must stay inside
   // the heap; under -D_GLIBCXX_ASSERTIONS an out-of-range index aborts.
   // Ascending insertion keeps the array sorted, so every pop descends
   // through child 1 and its children at 5..8 for each size in turn.
   for (int size = 1; size <= 40; ++size) {
-    Engine e{GetParam()};
+    Engine e;
     std::vector<Cycles> times;
     for (int i = 0; i < size; ++i) {
       e.schedule_at(i + 1, [&times, &e] { times.push_back(e.now()); });
@@ -301,9 +292,9 @@ TEST_P(EngineBackendTest, PopsThroughEveryPartialChildGroup) {
   }
 }
 
-TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
+TEST(Engine, HeavyLoadOrderingProperty) {
   // Many events at random times must still execute in nondecreasing order.
-  Engine e{GetParam()};
+  Engine e;
   std::vector<Cycles> times;
   std::uint64_t seed = 12345;
   for (int i = 0; i < 10000; ++i) {
@@ -318,10 +309,10 @@ TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
   }
 }
 
-TEST_P(EngineBackendTest, FarFutureEventsFireInOrder) {
-  // Deltas spanning every wheel level (up to 2^56 cycles) must cascade down
-  // and fire in order; exercises multi-level rollover.
-  Engine e{GetParam()};
+TEST(Engine, FarFutureEventsFireInOrder) {
+  // Deltas from 1 to 2^56 cycles: the packed key's `when` half must order
+  // them exactly, far past any simulated run length.
+  Engine e;
   std::vector<Cycles> times;
   for (int i = 0; i < 57; ++i) {
     e.schedule_at(Cycles{1} << i, [&times, &e] { times.push_back(e.now()); });
@@ -331,10 +322,10 @@ TEST_P(EngineBackendTest, FarFutureEventsFireInOrder) {
   for (int i = 0; i < 57; ++i) EXPECT_EQ(times[i], Cycles{1} << i);
 }
 
-TEST_P(EngineBackendTest, FarFutureCancelIsExact) {
-  // Cancelling events parked on high wheel levels must be O(1)-eager:
-  // pending_events drops immediately, and nothing fires later.
-  Engine e{GetParam()};
+TEST(Engine, FarFutureCancelIsExact) {
+  // Cancelling far-future events drops pending_events immediately, and
+  // their stale heap keys never fire.
+  Engine e;
   std::vector<EventId> ids;
   for (int i = 10; i < 50; ++i) {
     ids.push_back(e.schedule_at(Cycles{1} << i, [] { FAIL(); }));
@@ -346,8 +337,8 @@ TEST_P(EngineBackendTest, FarFutureCancelIsExact) {
   EXPECT_EQ(e.dispatched_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, ReserveIsBehaviourNeutral) {
-  Engine e{GetParam()};
+TEST(Engine, ReserveIsBehaviourNeutral) {
+  Engine e;
   e.reserve(1 << 16);
   std::vector<int> order;
   e.schedule_at(2, [&] { order.push_back(2); });
@@ -356,10 +347,10 @@ TEST_P(EngineBackendTest, ReserveIsBehaviourNeutral) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_P(EngineBackendTest, PeriodicWithLongPeriodCrossesLevels) {
-  // Period > one level-0 revolution (256 cycles): each re-arm lands on a
-  // higher level and must cascade back down exactly on time.
-  Engine e{GetParam()};
+TEST(Engine, PeriodicWithLongPeriodCrossesLevels) {
+  // A long period: every re-arm takes a fresh sequence number and must
+  // fire exactly on time.
+  Engine e;
   std::vector<Cycles> times;
   e.schedule_periodic(1000, [&] { times.push_back(e.now()); });
   e.run_until(10'000);
@@ -367,77 +358,129 @@ TEST_P(EngineBackendTest, PeriodicWithLongPeriodCrossesLevels) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(times[i], Cycles{1000} * (i + 1));
 }
 
-TEST(EngineBackend, ParseAndName) {
-  EngineBackend b = EngineBackend::kHeap;
-  EXPECT_TRUE(parse_engine_backend("wheel", b));
-  EXPECT_EQ(b, EngineBackend::kWheel);
-  EXPECT_TRUE(parse_engine_backend("heap", b));
-  EXPECT_EQ(b, EngineBackend::kHeap);
-  EXPECT_FALSE(parse_engine_backend("bogus", b));
-  EXPECT_FALSE(parse_engine_backend("", b));
-  EXPECT_FALSE(parse_engine_backend(nullptr, b));
-  EXPECT_STREQ(to_string(EngineBackend::kHeap), "heap");
-  EXPECT_STREQ(to_string(EngineBackend::kWheel), "wheel");
-}
+/// Reference model of the engine's ordering contract: a sorted set of
+/// (when, seq, id) with cancel-by-id. Every schedule and every periodic
+/// re-arm takes the next seq, as in the engine, so dispatch is by (when,
+/// seq). A periodic entry stops after `runs` firings, as if it cancelled
+/// itself in its callback.
+class ReferenceQueue {
+ public:
+  int schedule_at(Cycles when, int tag, Cycles period = 0, int runs = 0) {
+    entries_.push_back({tag, period, runs, when, next_seq_++, true});
+    queue_.emplace(when, entries_.back().seq, entries_.size() - 1);
+    return static_cast<int>(entries_.size() - 1);
+  }
+  bool cancel(int id) {
+    Entry& e = entries_[id];
+    if (!e.live) return false;
+    queue_.erase({e.when, e.seq, id});
+    e.live = false;
+    return true;
+  }
+  void run_until(Cycles deadline, std::vector<std::pair<Cycles, int>>& log) {
+    while (!queue_.empty() && std::get<0>(*queue_.begin()) <= deadline) {
+      const auto [when, seq, id] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      Entry& e = entries_[id];
+      now_ = when;
+      log.emplace_back(now_, e.tag);
+      ++dispatched_;
+      e.live = e.period > 0 && --e.runs > 0;
+      if (!e.live) continue;
+      e.when = now_ + e.period;
+      e.seq = next_seq_++;
+      queue_.emplace(e.when, e.seq, id);
+    }
+    now_ = std::max(now_, deadline);
+  }
+  [[nodiscard]] Cycles now() const { return now_; }
+  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
-// Differential contract: the two backends, fed an identical randomized
-// schedule/cancel/periodic workload, must produce the *identical* dispatch
-// log — same tags at the same times in the same order. This is the unit-level
-// form of the byte-identical-reports guarantee DESIGN.md §15 claims.
-TEST(EngineBackend, HeapWheelDifferentialChurn) {
-  const auto run_ops = [](EngineBackend backend) {
-    Engine e{backend};
-    std::vector<std::pair<Cycles, int>> log;
-    std::vector<EventId> live;
-    std::uint64_t seed = 0xabcdef12345ULL;
-    const auto next = [&seed] {
-      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-      return seed >> 16;
-    };
-    for (int i = 0; i < 5000; ++i) {
-      const std::uint64_t r = next();
-      switch (r % 5) {
-        case 0:
-        case 1: {  // one-shot at a near/far mix of horizons
-          const Cycles t =
-              e.now() + static_cast<Cycles>((r % 3 == 0)
-                                                ? next() % (Cycles{1} << 34)
-                                                : next() % 4096);
-          const int tag = i;
-          live.push_back(e.schedule_at(
-              t, [&log, &e, tag] { log.emplace_back(e.now(), tag); }));
-          break;
+ private:
+  struct Entry {
+    int tag;
+    Cycles period;
+    int runs;
+    Cycles when;
+    std::uint64_t seq;
+    bool live;
+  };
+  std::vector<Entry> entries_;
+  std::set<std::tuple<Cycles, std::uint64_t, std::size_t>> queue_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatched_ = 0;
+  Cycles now_ = 0;
+};
+
+// Differential contract: the engine and the reference queue, fed one
+// randomized mix of near and far one-shots, self-cancelling periodics,
+// cancels and partial run_until drains, must log the *identical* dispatch
+// sequence — same tags at the same times in the same order. This is the
+// unit-level form of the byte-identical-reports guarantee.
+TEST(Engine, ReferenceQueueDifferentialChurn) {
+  Engine e;
+  ReferenceQueue ref;
+  std::vector<std::pair<Cycles, int>> log;
+  std::vector<std::pair<Cycles, int>> ref_log;
+  std::vector<std::pair<EventId, int>> live;  // one-shots: engine id, ref id
+  std::uint64_t seed = 0xabcdef12345ULL;
+  const auto next = [&seed] {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return seed >> 16;
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t r = next();
+    switch (r % 5) {
+      case 0:
+      case 1: {  // one-shot at a near/far mix of horizons
+        const Cycles t =
+            e.now() + static_cast<Cycles>((r % 3 == 0)
+                                              ? next() % (Cycles{1} << 34)
+                                              : next() % 4096);
+        const int tag = i;
+        live.emplace_back(
+            e.schedule_at(t, [&log, &e, tag] { log.emplace_back(e.now(), tag); }),
+            ref.schedule_at(t, tag));
+        break;
+      }
+      case 2: {  // periodic that cancels itself after four firings
+        const Cycles period = 1 + static_cast<Cycles>(next() % 700);
+        const int tag = -i;
+        struct Periodic {
+          EventId id = kInvalidEventId;
+          int count = 0;
+        };
+        auto st = std::make_shared<Periodic>();
+        st->id = e.schedule_periodic(period, [&log, &e, tag, st] {
+          log.emplace_back(e.now(), tag);
+          if (++st->count == 4) e.cancel(st->id);
+        });
+        ref.schedule_at(ref.now() + period, tag, period, 4);
+        break;
+      }
+      case 3:  // cancel a random one-shot, pending or not
+        if (!live.empty()) {
+          const auto [id, ref_id] = live[next() % live.size()];
+          ASSERT_EQ(e.cancel(id), ref.cancel(ref_id));
         }
-        case 2: {  // periodic that cancels itself after a few firings
-          const Cycles period = 1 + static_cast<Cycles>(next() % 700);
-          const int tag = -i;
-          struct Periodic {
-            EventId id = kInvalidEventId;
-            int count = 0;
-          };
-          auto st = std::make_shared<Periodic>();
-          st->id = e.schedule_periodic(period, [&log, &e, tag, st] {
-            log.emplace_back(e.now(), tag);
-            if (++st->count == 4) e.cancel(st->id);
-          });
-          break;
-        }
-        case 3:  // cancel a random live event
-          if (!live.empty()) e.cancel(live[next() % live.size()]);
-          break;
-        case 4:  // partial drain, then keep scheduling
-          e.run_until(e.now() + static_cast<Cycles>(next() % 2000));
-          break;
+        break;
+      case 4: {  // partial drain, then keep scheduling
+        const Cycles deadline = e.now() + static_cast<Cycles>(next() % 2000);
+        e.run_until(deadline);
+        ref.run_until(deadline, ref_log);
+        ASSERT_EQ(e.now(), ref.now());
+        break;
       }
     }
-    e.run_until(Cycles{1} << 35);
-    log.emplace_back(e.now(), static_cast<int>(e.dispatched_events()));
-    return log;
-  };
-  const auto heap_log = run_ops(EngineBackend::kHeap);
-  const auto wheel_log = run_ops(EngineBackend::kWheel);
-  ASSERT_FALSE(heap_log.empty());
-  EXPECT_EQ(heap_log, wheel_log);
+    ASSERT_EQ(e.pending_events(), ref.pending());
+  }
+  e.run_until(Cycles{1} << 35);
+  ref.run_until(Cycles{1} << 35, ref_log);
+  ASSERT_GT(log.size(), 1000u);
+  EXPECT_EQ(log, ref_log);
+  EXPECT_EQ(e.dispatched_events(), ref.dispatched());
+  EXPECT_EQ(e.now(), ref.now());
 }
 
 }  // namespace

@@ -7,13 +7,6 @@ regresses by more than the tolerance (default 20%). All metrics are
 higher-is-better:
 
   engine_events_per_sec          micro_engine's aggregate event throughput
-                                 (heap backend, the default)
-  engine_timer_events_per_sec    micro_engine's million-timer scenario (1M
-                                 pending, schedule/cancel churn) on the
-                                 timer-wheel backend (DESIGN.md §15)
-  engine_timer_wheel_speedup     wheel vs heap on that same scenario.
-                                 Gated against an absolute 3.0x floor — a
-                                 ratio, so host speed cancels out
   flowmap_batch_lookups_per_sec  micro_flowmap: batched FlowMap hit
                                  lookups/sec at one million flows
   flowmap_lookup_speedup_vs_unordered
@@ -101,9 +94,6 @@ def run_micro_engine(binary: pathlib.Path) -> dict:
     data = json.loads(out)
     return {
         "engine_events_per_sec": float(data["events_per_sec"]),
-        "engine_timer_events_per_sec":
-            float(data["timer_events_per_sec_wheel"]),
-        "engine_timer_wheel_speedup": float(data["timer_wheel_speedup"]),
     }
 
 
@@ -178,11 +168,6 @@ def run_micro_shard(binary: pathlib.Path) -> dict:
 # hosts with at least this many hardware threads.
 SHARD_SPEEDUP_FLOOR = 3.0
 SHARD_SPEEDUP_MIN_CORES = 4
-
-# The timer wheel's reason to exist (DESIGN.md §15): the million-timer
-# scenario must run at least this many times faster than the heap. A
-# single-threaded ratio, so no core-count gate.
-TIMER_WHEEL_SPEEDUP_FLOOR = 3.0
 
 # Metrics where smaller is better: checked against a ceiling instead of a
 # floor. slo_violation_ratio additionally has an absolute ceiling — the
@@ -282,10 +267,6 @@ def main() -> int:
                       f"gate needs >= {SHARD_SPEEDUP_MIN_CORES})")
                 continue
             floor = SHARD_SPEEDUP_FLOOR * (1.0 - args.tolerance)
-        elif name == "engine_timer_wheel_speedup":
-            # Absolute gate: the wheel must beat the heap by the floor
-            # regardless of what ratio the baseline happened to record.
-            floor = TIMER_WHEEL_SPEEDUP_FLOOR * (1.0 - args.tolerance)
         elif name == "overload_priority_goodput_ratio":
             # Relative floor like every higher-is-better metric, but never
             # below the absolute combined-beats-baseline gate.
