@@ -809,6 +809,20 @@ void Simulation::report_json(std::ostream& out) const {
   out << '\n';
 }
 
+double Simulation::metric(const std::string& name,
+                          const obs::Labels& labels) const {
+  bool found = false;
+  double total = 0.0;
+  for (const auto& lane : shard_->lanes()) {
+    if (const auto value = lane->obs.metrics().scalar(name, labels)) {
+      found = true;
+      total += *value;
+    }
+  }
+  if (!found) throw std::out_of_range("no lane registered metric " + name);
+  return total;
+}
+
 std::string Simulation::report_json() const {
   std::ostringstream out;
   report_json(out);

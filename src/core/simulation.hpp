@@ -60,6 +60,9 @@ struct PlatformConfig {
   double cpu_hz = kDefaultCpuHz;
   sched::CoreConfig core;
   mgr::ManagerConfig manager;
+  /// Mbuf pool capacity of each lane (a per-lane cap, not a platform-wide
+  /// one): alloc fails past it. Storage is paid per descriptor in use at
+  /// once, not per unit of capacity, so a large cap costs nothing up front.
   std::uint32_t mempool_capacity = 1 << 20;
   /// Flow-table sizing and expiry (flow-state library, DESIGN.md §13). The
   /// default — grow on demand, no idle timeout — reproduces the historical
@@ -383,6 +386,13 @@ class Simulation {
   /// simulation state — two same-seed runs serialize identically.
   void report_json(std::ostream& out) const;
   [[nodiscard]] std::string report_json() const;
+
+  /// Value of the counter or gauge series `name{labels}` merged over the
+  /// lanes (summed), as report_json() prints it under "metrics". Throws
+  /// std::out_of_range when no lane registered such a series, so a renamed
+  /// metric fails loudly instead of reading 0.
+  [[nodiscard]] double metric(const std::string& name,
+                              const obs::Labels& labels = {}) const;
 
  private:
   void ensure_started();

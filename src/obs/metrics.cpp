@@ -110,6 +110,25 @@ std::uint64_t MetricsRegistry::sample_counter(const std::string& name,
              : 0;
 }
 
+std::optional<double> MetricsRegistry::scalar(const std::string& name,
+                                              const Labels& labels) const {
+  const Entry* entry = find(name, labels);
+  if (entry == nullptr) return std::nullopt;
+  switch (entry->kind) {
+    case Kind::kCounter:
+      return static_cast<double>(entry->counter->value());
+    case Kind::kCounterFn:
+      return static_cast<double>(entry->counter_fn ? entry->counter_fn() : 0);
+    case Kind::kGauge:
+      return entry->gauge->value();
+    case Kind::kGaugeFn:
+      return entry->gauge_fn ? entry->gauge_fn() : 0.0;
+    case Kind::kHistogram:
+      break;
+  }
+  return std::nullopt;
+}
+
 void MetricsRegistry::write_json_merged(
     const std::vector<const MetricsRegistry*>& parts, std::ostream& out) {
   struct Merged {

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,6 +100,11 @@ class MetricsRegistry {
       const std::string& name, const Labels& labels = {}) const;
   /// Value of a sampled (counter_fn) probe; 0 when absent.
   [[nodiscard]] std::uint64_t sample_counter(const std::string& name,
+                                             const Labels& labels = {}) const;
+
+  /// Current value of a counter or gauge series, owned or sampled; nullopt
+  /// when the series does not exist or is a histogram.
+  [[nodiscard]] std::optional<double> scalar(const std::string& name,
                                              const Labels& labels = {}) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

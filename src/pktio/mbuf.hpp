@@ -37,17 +37,20 @@ struct Mbuf {
   /// written where the producer ran; a consumer on another socket pays a
   /// remote-access penalty on first touch).
   std::int8_t numa_node = 0;
-
-  std::uint64_t seq = 0;  ///< Monotone per-flow sequence, for TCP accounting.
-
   /// Scratch byte an NF's cost probe may leave for its packet handler
   /// (e.g. a firewall verdict computed at burst-assembly time). Valid only
   /// between one NF's probe and its handler for the same packet.
   std::uint8_t nf_scratch = 0;
 
+  std::uint64_t seq = 0;  ///< Monotone per-flow sequence, for TCP accounting.
+
   /// Parsed 5-tuple "headers". Real NFs (firewall, NAT, DPI, ...) read and
   /// may rewrite these, exactly as they would rewrite packet headers.
   FlowKey key;
 };
+
+// One descriptor per cache line: the pool's slots are 64-byte aligned, so a
+// packet's metadata never straddles two lines.
+static_assert(sizeof(Mbuf) == 64, "Mbuf must fill exactly one cache line");
 
 }  // namespace nfv::pktio

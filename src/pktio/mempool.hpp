@@ -1,7 +1,17 @@
-// Fixed-capacity mbuf pool (DPDK rte_mempool stand-in).
+// Fixed-capacity mbuf pool (DPDK rte_mempool stand-in), built on demand.
+//
+// The capacity is fixed at construction, but no descriptor is written until
+// it is first handed out: slots [fresh_, capacity_) have never been used and
+// their storage is untouched, so memory and set-up scale with the most mbufs
+// ever in use at once, not with the capacity. The hand-out order is exactly
+// that of a stack pre-filled with [capacity-1 ... 0] (index 0 on top): the
+// recycled free list sits above the never-used tail [capacity-1 ... fresh_],
+// so every pool_index and every alloc failure match the eager pool's.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "pktio/mbuf.hpp"
@@ -36,17 +46,24 @@ class MbufPool {
 
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint32_t in_use() const {
-    return capacity_ - static_cast<std::uint32_t>(free_list_.size());
+    return fresh_ - static_cast<std::uint32_t>(free_list_.size());
   }
   [[nodiscard]] std::uint64_t alloc_failures() const { return alloc_failures_; }
 
  private:
+  struct FreeDeleter {
+    void operator()(Mbuf* p) const { std::free(p); }
+  };
+
   std::uint32_t capacity_;
-  std::vector<Mbuf> slots_;
-  std::vector<std::uint32_t> free_list_;
+  std::uint32_t fresh_ = 0;  ///< Slots [fresh_, capacity_) never handed out.
+  /// Uninitialised, cache-line-aligned slot storage; a slot is written only
+  /// when it is handed out.
+  std::unique_ptr<Mbuf, FreeDeleter> slots_;
+  std::vector<std::uint32_t> free_list_;  ///< Recycled indices, LIFO.
   std::uint64_t alloc_failures_ = 0;
 #ifndef NDEBUG
-  std::vector<bool> is_free_;  ///< Debug-only double-free detector.
+  std::vector<bool> is_free_;  ///< Debug-only double-free detector, [0, fresh_).
 #endif
 };
 

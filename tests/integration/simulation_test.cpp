@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace nfv::core {
 namespace {
@@ -57,6 +58,38 @@ TEST(Simulation, SingleLaneAccessorsRefuseSeveralLanes) {
   const auto u1 = unsharded.add_nf("u1", c1, nf::CostModel::fixed(1));
   EXPECT_EQ(&unsharded.mgr_of(u0), &unsharded.manager());
   EXPECT_EQ(&unsharded.mgr_of(u1), &unsharded.manager());
+}
+
+// metric() reads one merged series, summed over the lanes as report_json()
+// prints it; a name no lane registered throws instead of reading 0.
+TEST(Simulation, MetricMergesLanesAndRefusesUnknownSeries) {
+  PlatformConfig cfg;
+  cfg.sim_shards = 2;
+  Simulation sim(cfg);
+  const auto core0 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto core1 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto a = sim.add_nf("a", core0, nf::CostModel::fixed(200));
+  const auto b = sim.add_nf("b", core1, nf::CostModel::fixed(300));
+  const auto chain = sim.add_chain("ab", {a, b});
+  sim.add_udp_flow(chain, 2e6);
+  sim.run_for_seconds(0.01);
+  EXPECT_GT(sim.metric("sim.dispatched_events"), 0.0);
+  EXPECT_GT(sim.metric("mgr.shard_rx_msgs"), 0.0);
+  const std::string chain_label = std::to_string(chain);
+  EXPECT_GT(sim.chain_metrics(chain).egress_packets, 0u);
+  EXPECT_EQ(sim.metric("chain.egress_packets", {{"chain", chain_label}}),
+            static_cast<double>(sim.chain_metrics(chain).egress_packets));
+  EXPECT_THROW((void)sim.metric("chain.egress_packets", {{"chain", "99"}}),
+               std::out_of_range);
+  EXPECT_THROW((void)sim.metric("no.such_metric"), std::out_of_range);
+
+  // Unsharded, no lane has a peer, so the shard counters do not exist.
+  Simulation unsharded;
+  const auto c = unsharded.add_core(SchedPolicy::kCfsBatch);
+  const auto u = unsharded.add_nf("u", c, nf::CostModel::fixed(100));
+  unsharded.add_udp_flow(unsharded.add_chain("u", {u}), 1e6);
+  unsharded.run_for_seconds(0.001);
+  EXPECT_THROW((void)unsharded.metric("mgr.shard_rx_msgs"), std::out_of_range);
 }
 
 TEST(Simulation, DeterministicAcrossRuns) {
